@@ -84,10 +84,9 @@ STORE_BACKENDS ?= mem file
 
 # Chaos storm against the planning daemon, race-enabled, once per plan
 # store backend: concurrent requests under tiny deadlines with seeded
-# random solver panics, through the request-coalescing batch scheduler.
-# Zero daemon crashes allowed; every 200 body must pass the verification
-# oracle. Each backend's final /v1/stats snapshot lands in
-# serve_chaos_stats_<backend>.json.
+# random solver panics. Zero daemon crashes allowed; every 200 body must
+# pass the verification oracle. Each backend's final /v1/stats snapshot
+# lands in serve_chaos_stats_<backend>.json.
 CHAOS_REQUESTS ?= 400
 serve-chaos:
 	@for b in $(STORE_BACKENDS); do \

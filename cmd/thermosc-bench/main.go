@@ -42,11 +42,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"sort"
@@ -55,6 +58,7 @@ import (
 	"testing"
 	"time"
 
+	"thermosc"
 	"thermosc/internal/floorplan"
 	"thermosc/internal/power"
 	"thermosc/internal/schedule"
@@ -286,19 +290,24 @@ func run() (*Report, error) {
 		halfBudget = time.Millisecond
 	}
 
-	// The serving-path batch workload: one op is a 16-request burst on a
-	// single platform, zipf-skewed over four thresholds (8/4/2/2) — the
-	// shape production bursts take (a few hot thresholds on a hot
-	// platform). serve_batch pushes the burst through the request
-	// coalescer (duplicate thresholds collapse onto one solve; distinct
-	// ones lease the shared engine leader-first); serve_batch_unbatched
-	// is the naive serving path the batcher replaces — every request runs
-	// its own solve on its own engine.
-	burstTmax := []float64{55, 58, 61, 64}
-	var burstKeys []int
+	// The serving-path burst: one op is 16 concurrent /v1/maximize
+	// requests on mesh-3x3, zipf-skewed over four thresholds (8/4/2/2) —
+	// the shape production bursts take (a few hot thresholds on a hot
+	// platform) — through a fresh default-config server, so the
+	// singleflight, the plan cache and the shared per-platform engine all
+	// start cold.
+	var burstBodies [][]byte
 	for ki, reps := range []int{8, 4, 2, 2} {
+		body, err := json.Marshal(thermosc.MaximizeRequest{
+			Platform: thermosc.PlatformSpec{Rows: 3, Cols: 3, PaperLevels: 2},
+			TmaxC:    []float64{55, 58, 61, 64}[ki],
+			Method:   thermosc.MethodAO,
+		})
+		if err != nil {
+			return nil, err
+		}
 		for r := 0; r < reps; r++ {
-			burstKeys = append(burstKeys, ki)
+			burstBodies = append(burstBodies, body)
 		}
 	}
 
@@ -375,42 +384,25 @@ func run() (*Report, error) {
 				}
 			}
 		}},
-		{"serve_batch", func(b *testing.B) {
+		{"serve_burst", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				bat := solver.NewBatcher(solver.BatchConfig{Window: 2 * time.Millisecond, MaxBatch: len(burstKeys)})
-				eng := sim.NewEngine(md)
-				errs := make(chan error, len(burstKeys))
+				srv := thermosc.NewServer(thermosc.ServerConfig{})
+				codes := make(chan int, len(burstBodies))
 				var wg sync.WaitGroup
-				for _, ki := range burstKeys {
+				for _, body := range burstBodies {
 					wg.Add(1)
-					go func(ki int) {
+					go func(body []byte) {
 						defer wg.Done()
-						_, _, err := bat.Do(context.Background(), "mesh-3x3", fmt.Sprintf("tmax-%g", burstTmax[ki]), func() (any, error) {
-							p := aoProblem(1)
-							p.TmaxC = burstTmax[ki]
-							p.Engine = eng
-							return solver.AO(p)
-						})
-						if err != nil {
-							errs <- err
-						}
-					}(ki)
+						rec := httptest.NewRecorder()
+						srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/maximize", bytes.NewReader(body)))
+						codes <- rec.Code
+					}(body)
 				}
 				wg.Wait()
-				select {
-				case err := <-errs:
-					b.Fatal(err)
-				default:
-				}
-			}
-		}},
-		{"serve_batch_unbatched", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, ki := range burstKeys {
-					p := aoProblem(1)
-					p.TmaxC = burstTmax[ki]
-					if _, err := solver.AO(p); err != nil {
-						b.Fatal(err)
+				close(codes)
+				for code := range codes {
+					if code != http.StatusOK {
+						b.Fatalf("burst request answered %d", code)
 					}
 				}
 			}
@@ -473,9 +465,6 @@ func run() (*Report, error) {
 	}
 	if c, co := byName["peak_eval_classic"], byName["peak_eval_composed"]; co.NsPerOp > 0 {
 		rep.Speedups["peak_eval_composed"] = c.NsPerOp / co.NsPerOp
-	}
-	if u, bt := byName["serve_batch_unbatched"], byName["serve_batch"]; bt.NsPerOp > 0 {
-		rep.Speedups["serve_batch"] = u.NsPerOp / bt.NsPerOp
 	}
 	return rep, nil
 }

@@ -49,8 +49,6 @@ func main() {
 		brkThreshold  = flag.Float64("breaker-threshold", 0, "audit failure fraction that trips the breaker to fallback-only planning (0 = default 0.5)")
 		brkMinSamples = flag.Int("breaker-min-samples", 0, "verdicts required before the breaker may trip (0 = default 8)")
 		brkCooloff    = flag.Duration("breaker-cooloff", 0, "open-state hold before a half-open probe (0 = default 30s)")
-		batchWindow   = flag.Duration("batch-window", 0, "coalesce concurrent same-platform solves inside this window (0 disables batching)")
-		batchMax      = flag.Int("batch-max", 0, "members that seal a batch group early (0 = default 16)")
 
 		// Fleet flags (see docs/CLUSTER.md). -peers turns on clustering.
 		self         = flag.String("self", "", "this replica's advertised base URL (default http://<bound addr>)")
@@ -120,8 +118,6 @@ func main() {
 		BreakerThreshold:  *brkThreshold,
 		BreakerMinSamples: *brkMinSamples,
 		BreakerCooloff:    *brkCooloff,
-		BatchWindow:       *batchWindow,
-		BatchMaxSize:      *batchMax,
 		Cluster:           clusterCfg,
 	})
 	httpSrv := &http.Server{

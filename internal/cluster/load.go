@@ -69,14 +69,6 @@ type LoadConfig struct {
 	// sent as the request's timeout_s AND enforced client-side.
 	TimeoutMinS float64 `json:"timeout_min_s"`
 	TimeoutMaxS float64 `json:"timeout_max_s"`
-	// RelatedBurst, when > 1, groups the workload into same-platform
-	// bursts: that many consecutive requests share one zipf-picked
-	// platform, one target, and one arrival instant, while the threshold
-	// and method vary across the platform's variants. This is the shape
-	// the server's batch scheduler coalesces (same platform key,
-	// different plan keys), so the batch win is measurable under load.
-	// 0 (the default) keeps the classic per-request zipf pick.
-	RelatedBurst int `json:"related_burst"`
 	// Concurrency bounds in-flight requests (default 256). An open-loop
 	// generator never waits for a response to send the next request, but
 	// it must not exhaust file descriptors; when the bound is hit the
@@ -260,9 +252,6 @@ func (c LoadConfig) Workload() ([]LoadRequest, error) {
 	// A separate RNG stream for the picks: the schedule must not shift
 	// when the pick logic changes, and vice versa.
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	if cfg.RelatedBurst > 1 {
-		return relatedWorkload(cfg, items, schedule, rng)
-	}
 	var zipf *rand.Zipf
 	if len(items) > 1 {
 		zipf = rand.NewZipf(rng, cfg.ZipfS, cfg.ZipfV, uint64(len(items)-1))
@@ -291,55 +280,6 @@ func (c LoadConfig) Workload() ([]LoadRequest, error) {
 			Platform: item.name,
 			Rank:     rank,
 		}
-	}
-	return reqs, nil
-}
-
-// relatedWorkload emits the RelatedBurst shape: bursts of same-platform
-// requests landing at one instant. buildCatalog is platform-major
-// (catalog order × tmax × method), so each platform owns a contiguous
-// block of variants; the burst draws its members uniformly from one
-// zipf-picked platform's block.
-func relatedWorkload(cfg LoadConfig, items []catalogItem, schedule []time.Duration, rng *rand.Rand) ([]LoadRequest, error) {
-	variants := len(cfg.TmaxC) * len(cfg.Methods)
-	numPlats := len(items) / variants
-	var zipf *rand.Zipf
-	if numPlats > 1 {
-		zipf = rand.NewZipf(rng, cfg.ZipfS, cfg.ZipfV, uint64(numPlats-1))
-	}
-	reqs := make([]LoadRequest, cfg.Requests)
-	for i := 0; i < cfg.Requests; {
-		plat := 0
-		if zipf != nil {
-			plat = int(zipf.Uint64())
-		}
-		target := cfg.Targets[rng.Intn(len(cfg.Targets))]
-		at := schedule[i]
-		n := cfg.RelatedBurst
-		if i+n > cfg.Requests {
-			n = cfg.Requests - i // final partial burst
-		}
-		for j := 0; j < n; j++ {
-			item := items[plat*variants+rng.Intn(variants)]
-			timeout := cfg.TimeoutMinS + rng.Float64()*(cfg.TimeoutMaxS-cfg.TimeoutMinS)
-			body, err := json.Marshal(wireMaximize{
-				Platform: item.platform,
-				TmaxC:    item.tmaxC,
-				Method:   item.method,
-				TimeoutS: timeout,
-			})
-			if err != nil {
-				return nil, err
-			}
-			reqs[i+j] = LoadRequest{
-				At:       at,
-				Target:   target,
-				Body:     body,
-				Platform: item.name,
-				Rank:     plat,
-			}
-		}
-		i += n
 	}
 	return reqs, nil
 }

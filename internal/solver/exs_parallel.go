@@ -14,7 +14,9 @@ import (
 // worker goroutines: the top-level branches (core 0's candidate modes)
 // form the work queue, workers share the incumbent bound through a mutex-
 // guarded snapshot, and results merge deterministically. It returns the
-// identical optimum to EXS/EXSNaive.
+// identical assignment to EXS — when several assignments tie for the
+// optimum, the one EXS's depth-first order reaches first — however the
+// workers are scheduled.
 //
 // Parallel efficiency note: sharing the incumbent is what makes parallel
 // branch-and-bound worthwhile — a late worker inherits the best bound
@@ -54,10 +56,15 @@ func EXSParallel(p Problem, workers int) (*Result, error) {
 		maxSpeedSuffix[j] = maxSpeedSuffix[j+1] + volts[len(volts)-1]
 	}
 
-	// Shared incumbent.
+	// Shared incumbent value, which later subtrees prune against, and
+	// each subtree's own optimum, indexed by core 0's level. The merge
+	// after the search walks the subtrees in EXS's order, so a tie goes
+	// to the subtree EXS visits first, not to whichever worker finished
+	// first.
 	var mu sync.Mutex
 	bestSum := math.Inf(-1)
-	var best []int
+	jobSum := make([]float64, len(volts))
+	jobIdx := make([][]int, len(volts))
 	var totalEvals int64
 	// Cooperative cancellation: any worker observing an expired context
 	// raises the flag; the others unwind their subtrees immediately.
@@ -71,7 +78,9 @@ func EXSParallel(p Problem, workers int) (*Result, error) {
 		idx := make([]int, n)
 		temps0 := make([]float64, n)
 		var evals int64
-		localBest := math.Inf(-1)
+		// floor is the shared incumbent when this subtree started;
+		// localBest/localIdx are the subtree's own optimum so far.
+		var floor, localBest float64
 		var localIdx []int
 
 		// Per-worker depth-indexed scratch (see EXS): one allocation for
@@ -82,10 +91,10 @@ func EXSParallel(p Problem, workers int) (*Result, error) {
 			scratch[d] = scratchBuf[d*n : (d+1)*n : (d+1)*n]
 		}
 
-		var dfs func(j int, temps []float64, speedSum float64, bound float64) float64
-		dfs = func(j int, temps []float64, speedSum float64, bound float64) float64 {
+		var dfs func(j int, temps []float64, speedSum float64)
+		dfs = func(j int, temps []float64, speedSum float64) {
 			if stop.Load() {
-				return bound
+				return
 			}
 			evals++
 			// Poll the context every 64 evals (a node costs O(n) flops, so
@@ -94,25 +103,24 @@ func EXSParallel(p Problem, workers int) (*Result, error) {
 			// subtree later.
 			if evals&63 == 0 && p.ctxErr() != nil {
 				stop.Store(true)
-				return bound
+				return
 			}
-			if speedSum+maxSpeedSuffix[j] <= bound {
-				return bound
+			// Another subtree's incumbent prunes only what cannot reach
+			// it: a tie found here may come first in EXS's order.
+			if ub := speedSum + maxSpeedSuffix[j]; ub < floor || ub <= localBest {
+				return
 			}
 			for i := 0; i < n; i++ {
 				if temps[i]+minSuffix[j][i] > tmax+feasTol {
-					return bound
+					return
 				}
 			}
 			if j == n {
-				if speedSum > bound {
-					bound = speedSum
-					if speedSum > localBest {
-						localBest = speedSum
-						localIdx = append(localIdx[:0], idx...)
-					}
+				if speedSum >= floor && speedSum > localBest {
+					localBest = speedSum
+					localIdx = append(localIdx[:0], idx...)
 				}
-				return bound
+				return
 			}
 			local := scratch[j+1]
 			for k := len(volts) - 1; k >= 0; k-- {
@@ -120,33 +128,33 @@ func EXSParallel(p Problem, workers int) (*Result, error) {
 				// this level between children instead of after the whole
 				// fan-out of remaining subtrees.
 				if stop.Load() {
-					return bound
+					return
 				}
 				idx[j] = k
 				copy(local, temps)
 				mat.VecAXPY(local, psi[k], hcc[j])
-				bound = dfs(j+1, local, speedSum+volts[k], bound)
+				dfs(j+1, local, speedSum+volts[k])
 			}
-			return bound
 		}
 
 		for k0 := range jobs {
 			// Inherit the freshest global bound for this subtree.
 			mu.Lock()
-			bound := bestSum
+			floor = bestSum
 			mu.Unlock()
+			localBest, localIdx = math.Inf(-1), nil
 
 			idx[0] = k0
 			for i := range temps0 {
 				temps0[i] = psi[k0] * hcc[0][i]
 			}
-			bound = dfs(1, temps0, volts[k0], bound)
+			dfs(1, temps0, volts[k0])
 
-			if localIdx != nil && localBest > math.Inf(-1) {
+			if localIdx != nil {
 				mu.Lock()
+				jobSum[k0], jobIdx[k0] = localBest, localIdx
 				if localBest > bestSum {
 					bestSum = localBest
-					best = append(best[:0], localIdx...)
 				}
 				mu.Unlock()
 			}
@@ -175,6 +183,13 @@ func EXSParallel(p Problem, workers int) (*Result, error) {
 	}
 	close(jobs)
 	wg.Wait()
+	var best []int
+	bestSum = math.Inf(-1)
+	for k := len(volts) - 1; k >= 0; k-- { // EXS's order: high levels first
+		if jobIdx[k] != nil && jobSum[k] > bestSum {
+			bestSum, best = jobSum[k], jobIdx[k]
+		}
+	}
 	if stop.Load() {
 		// Anytime: every worker merged its incumbent before exiting, so
 		// `best` is the best fully-evaluated feasible assignment found

@@ -75,14 +75,14 @@ func newAdmission(concurrency, queueCap int) *admission {
 // depth is the current queue depth (the /v1/stats gauge).
 func (a *admission) depth() int64 { return a.waiting.Load() }
 
-// estWaitS estimates how long a newly queued solve would wait for a
-// slot: queue depth × average solve time ÷ pool width. Zero until the
-// first solve completes, so a cold server never sheds on estimate.
-func (a *admission) estWaitS() float64 {
+// estWaitS estimates how long a solve queued behind depth others would
+// wait for a slot: depth × average solve time ÷ pool width. Zero until
+// the first solve completes, so a cold server never sheds on estimate.
+func (a *admission) estWaitS(depth int64) float64 {
 	a.mu.Lock()
 	avg := a.avgS
 	a.mu.Unlock()
-	return float64(a.waiting.Load()) * avg / float64(cap(a.sem))
+	return float64(depth) * avg / float64(cap(a.sem))
 }
 
 // retryAfter is the Retry-After hint attached to sheds: the estimated
@@ -92,7 +92,7 @@ func (a *admission) estWaitS() float64 {
 // immediately — and ceiling at the source keeps the header, the JSON
 // retry_after_s, and the error text in agreement.
 func (a *admission) retryAfter() time.Duration {
-	secs := math.Ceil(a.estWaitS())
+	secs := math.Ceil(a.estWaitS(a.waiting.Load()))
 	if secs < 1 {
 		secs = 1
 	}
@@ -112,18 +112,23 @@ func (a *admission) acquire(ctx context.Context) error {
 		return nil
 	default:
 	}
-	if int(a.waiting.Load()) >= a.queueCap {
+	// Reserve the queue place before checking the cap: a separate check
+	// and enqueue would let requests arriving together all pass the check
+	// and overshoot queueCap.
+	ahead := a.waiting.Add(1) - 1
+	if ahead >= int64(a.queueCap) {
+		a.waiting.Add(-1)
 		return &shedError{reason: "solve queue is full", retryAfter: a.retryAfter()}
 	}
 	if dl, ok := ctx.Deadline(); ok {
-		if est := a.estWaitS(); est > time.Until(dl).Seconds() {
+		if est := a.estWaitS(ahead); est > time.Until(dl).Seconds() {
+			a.waiting.Add(-1)
 			return &shedError{
 				reason:     fmt.Sprintf("estimated queue wait %.2fs exceeds the request deadline", est),
 				retryAfter: a.retryAfter(),
 			}
 		}
 	}
-	a.waiting.Add(1)
 	defer a.waiting.Add(-1)
 	select {
 	case a.sem <- struct{}{}:

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -42,6 +43,61 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 	a.release(time.Millisecond)
 	if err := <-queued; err != nil {
 		t.Fatalf("queued waiter lost its slot: %v", err)
+	}
+}
+
+// TestAdmissionQueueCapHoldsUnderBurst pins the queue bound under
+// simultaneous arrivals: with the only slot held, a burst of acquirers
+// released together may queue at most queueCap of themselves — the rest
+// must shed as "queue full" instead of slipping past the cap between
+// the depth check and the enqueue. The burst shares one deadline, so no
+// waiter leaves the queue (freeing its place for a late starter) before
+// every waiter does; an acquirer that starts after the deadline sheds on
+// the wait estimate instead.
+func TestAdmissionQueueCapHoldsUnderBurst(t *testing.T) {
+	const (
+		trials   = 500
+		burst    = 64
+		queueCap = 2
+	)
+	for trial := 0; trial < trials; trial++ {
+		a := newAdmission(1, queueCap)
+		if err := a.acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		var queued atomic.Int64
+		for i := 0; i < burst; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				err := a.acquire(ctx)
+				var shed *shedError
+				if !errors.As(err, &shed) {
+					t.Errorf("acquire with the only slot held: %v, want a shed", err)
+					if err == nil {
+						a.release(0)
+					}
+					return
+				}
+				if shed.reason == "deadline expired while queued for a solve slot" {
+					queued.Add(1)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		cancel()
+		if n := queued.Load(); n > queueCap {
+			t.Fatalf("trial %d: %d requests queued behind a cap of %d", trial, n, queueCap)
+		}
+		if d := a.depth(); d != 0 {
+			t.Fatalf("trial %d: queue depth %d after every waiter left", trial, d)
+		}
+		a.release(0)
 	}
 }
 
