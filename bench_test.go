@@ -114,6 +114,7 @@ func BenchmarkPCO3x1(b *testing.B) {
 
 func BenchmarkEXSPruned9x5(b *testing.B) {
 	p := benchProblem(b, 3, 3, 5, 65)
+	p.Workers = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := solver.EXS(p); err != nil {
@@ -135,11 +136,13 @@ func BenchmarkEXSNaive9x5(b *testing.B) {
 	}
 }
 
-func BenchmarkEXSParallel9x5(b *testing.B) {
+// BenchmarkEXSWide9x5 is BenchmarkEXSPruned9x5 with the core-0 subtrees
+// fanned out across GOMAXPROCS workers.
+func BenchmarkEXSWide9x5(b *testing.B) {
 	p := benchProblem(b, 3, 3, 5, 65)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.EXSParallel(p, 0); err != nil {
+		if _, err := solver.EXS(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -170,6 +173,15 @@ func benchSchedule(b *testing.B, n int) (*thermal.Model, *schedule.Schedule) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	s, err := schedule.TwoMode(20e-3, benchSpecs(n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return md, s
+}
+
+// benchSpecs is the two-mode decomposition behind benchSchedule's cycle.
+func benchSpecs(n int) []schedule.TwoModeSpec {
 	specs := make([]schedule.TwoModeSpec, n)
 	for i := range specs {
 		specs[i] = schedule.TwoModeSpec{
@@ -178,11 +190,7 @@ func benchSchedule(b *testing.B, n int) (*thermal.Model, *schedule.Schedule) {
 			HighRatio: 0.3 + 0.05*float64(i%8),
 		}
 	}
-	s, err := schedule.TwoMode(20e-3, specs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return md, s
+	return specs
 }
 
 func BenchmarkStableSolve9(b *testing.B) {
@@ -272,8 +280,9 @@ func BenchmarkAOSearch(b *testing.B) {
 //	           PeriodCache (the pre-engine hot path),
 //	engine   — the same evaluation through sim.Engine, hitting the warmed
 //	           propagator cache (bit-identical result),
-//	composed — the eigenbasis semigroup evaluator StepUpPeakComposed
-//	           (agrees to ≲1e-8 K, not bit-identical).
+//	composed — the m-search's screening step on one arena: SetTwoMode
+//	           plus the eigenbasis evaluator ComposedEndPeak (agrees to
+//	           ≲1e-8 K, not bit-identical).
 func BenchmarkPeakEval(b *testing.B) {
 	md, s := benchSchedule(b, 9)
 	b.Run("classic", func(b *testing.B) {
@@ -304,12 +313,15 @@ func BenchmarkPeakEval(b *testing.B) {
 	})
 	b.Run("composed", func(b *testing.B) {
 		eng := sim.NewEngine(md)
-		if _, _, err := eng.StepUpPeakComposed(s); err != nil {
-			b.Fatal(err)
-		}
+		a := eng.AcquireArena()
+		defer eng.ReleaseArena(a)
+		specs := benchSpecs(md.NumCores())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.StepUpPeakComposed(s); err != nil {
+			if err := a.SetTwoMode(20e-3, specs); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := a.ComposedEndPeak(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -10,7 +10,9 @@
 // The suite mirrors BenchmarkAOSearch and BenchmarkPeakEval in
 // bench_test.go: the AO solver with the sequential reference m-search
 // (workers=1) and the worker-pool fan-out (workers=GOMAXPROCS), plus the
-// three stable-status peak evaluators (classic, engine-cached, composed),
+// three stable-status peak evaluators (classic, engine-cached, and the
+// m-search's composed screening step: EvalArena.SetTwoMode plus
+// ComposedEndPeak on one arena),
 // plus the degraded path: an AO solve whose context deadline is half the
 // median full-solve time, walked through the same truncate-or-floor
 // chain the serving layer uses. Its ns/op is bounded by the budget, so
@@ -24,7 +26,8 @@
 // runners, so it gets the loose 2× limit; allocation counts and bytes are
 // deterministic properties of the code, so they get the tight 1.5× limit
 // that catches an accidentally reintroduced per-candidate allocation long
-// before it costs 2× wall clock. Baseline entries missing from the
+// before it costs 2× wall clock; against a zero allocs/op or bytes/op
+// baseline any allocation fails. Baseline entries missing from the
 // current run (or vice versa) are reported but never fail the gate, so
 // the suite can grow. A missing baseline file bootstraps the gate: the
 // current report is written there and the run exits 0, so a fresh
@@ -235,6 +238,9 @@ func run() (*Report, error) {
 	if _, _, err := engine.StepUpPeak(sched); err != nil {
 		return nil, err
 	}
+	// The m-search screens candidates on one arena per worker.
+	arena := engine.AcquireArena()
+	defer engine.ReleaseArena(arena)
 
 	// The 256-core sparse-backend workload: the largest catalog platform
 	// (stacked + heterogeneous), the scale the serving layer now accepts.
@@ -372,7 +378,10 @@ func run() (*Report, error) {
 		}},
 		{"peak_eval_composed", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := engine.StepUpPeakComposed(sched); err != nil {
+				if err := arena.SetTwoMode(20e-3, specs); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := arena.ComposedEndPeak(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -585,7 +594,14 @@ func gate(cur *Report, baselinePath string, lim limits, cmpOut string) (bootstra
 	var failures []string
 	check := func(name, dim string, cur, base, limit float64) {
 		if base <= 0 {
-			return // nothing to ratio against (e.g. a zero-alloc baseline)
+			// No ratio to a zero baseline (a zero-alloc kernel): any
+			// allocation at all is the regression.
+			fmt.Printf("  gate %-24s %-6s zero baseline (%.0f)\n", name, dim, cur)
+			if cur > 0 {
+				failures = append(failures,
+					fmt.Sprintf("%s %s regressed from a zero baseline to %.0f", name, dim, cur))
+			}
+			return
 		}
 		ratio := cur / base
 		fmt.Printf("  gate %-24s %-6s %6.2fx of baseline (%.0f vs %.0f)\n", name, dim, ratio, cur, base)

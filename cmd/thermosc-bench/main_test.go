@@ -15,6 +15,7 @@ func syntheticReport(ns float64) *Report {
 		Benchmarks: []Entry{
 			{Name: "ao_search_seq", N: 10, NsPerOp: 4 * ns, AllocsPerOp: 600, BytesPerOp: 200_000},
 			{Name: "peak_eval_engine", N: 100, NsPerOp: ns, AllocsPerOp: 4, BytesPerOp: 512},
+			{Name: "peak_eval_composed", N: 100, NsPerOp: ns / 4},
 		},
 	}
 }
@@ -89,6 +90,15 @@ func TestGateRegressionDetection(t *testing.T) {
 		t.Fatal("8x bytes/op regression passed a 1.5x gate")
 	} else if !strings.Contains(err.Error(), "bytes") {
 		t.Fatalf("bytes regression not named: %v", err)
+	}
+
+	// A zero-alloc baseline has no ratio; its first allocation must fail.
+	leaky := syntheticReport(1000)
+	leaky.Benchmarks[2].AllocsPerOp, leaky.Benchmarks[2].BytesPerOp = 1, 16
+	if _, err := gate(leaky, path, defaultLimits(), ""); err == nil {
+		t.Fatal("allocation on a zero-alloc baseline passed the gate")
+	} else if !strings.Contains(err.Error(), "zero baseline") {
+		t.Fatalf("zero-baseline regression not named: %v", err)
 	}
 
 	grown := syntheticReport(1000)

@@ -62,7 +62,11 @@ func TableV(w io.Writer, cfg Config) error {
 			if err != nil {
 				return err
 			}
-			exs, err := solver.EXS(p)
+			// One worker: the pruned search's node count is reproducible
+			// only on the sequential path.
+			pe := p
+			pe.Workers = 1
+			exs, err := solver.EXS(pe)
 			if err != nil {
 				return err
 			}

@@ -26,8 +26,8 @@ import (
 // the *To variants of exactly the primitives NewStableCached and
 // PeakDense call, with shared-cache operator lookups hitting the same
 // thermal.Propagator entries. The one intentionally non-identical
-// evaluator is ComposedEndPeak, the screening path (see
-// Engine.StepUpPeakComposed for its documented ≲1e-8 K tolerance).
+// evaluator is ComposedEndPeak, the screening path (≲1e-8 K; see its
+// documentation).
 //
 // Arenas are NOT safe for concurrent use; acquire one per worker from
 // Engine.AcquireArena and return it with Engine.ReleaseArena, which
@@ -40,9 +40,9 @@ type EvalArena struct {
 	dim  int // thermal nodes
 	maxZ int // interval capacity (2n+2 covers shifted two-mode cycles)
 
-	// Two-mode cycle structure (SetTwoMode). Per core at most two
-	// normalized segments; per interval a mode vector, its propagator key,
-	// and lazily-resolved shared-cache operators.
+	// Cycle structure (SetTwoMode or SetSchedule). Per core at most two
+	// normalized segments (SetTwoMode only); per interval a mode vector,
+	// its propagator key, and lazily-resolved shared-cache operators.
 	period  float64
 	z       int
 	segLen  [][2]float64
@@ -173,7 +173,7 @@ func (a *EvalArena) checkLive() {
 // equivalent of schedule.TwoMode followed by Intervals, mirrored operation
 // for operation so every derived float (period, breakpoints, interval
 // lengths, midpoint mode resolution) is bit-identical to the Schedule
-// path. It must be called before the evaluation methods.
+// path. It (or SetSchedule) must be called before the evaluation methods.
 func (a *EvalArena) SetTwoMode(tc float64, specs []schedule.TwoModeSpec) error {
 	a.checkLive()
 	if len(specs) != a.n {
@@ -264,6 +264,32 @@ func (a *EvalArena) SetTwoMode(tc float64, specs []schedule.TwoModeSpec) error {
 			modes[i] = a.modeAt(i, mid)
 		}
 		thermal.ModeKeyInto(a.keys[q], modes)
+		a.tinfs[q] = nil
+		a.expLs[q] = nil
+	}
+	return nil
+}
+
+// SetSchedule loads the merged state intervals of an arbitrary schedule
+// (PCO's phase-shifted candidates) into the arena, for StableDensePeak to
+// evaluate without the per-step state allocations of NewStableCached +
+// PeakDense. Shifted two-mode cycles have at most 2n+1 intervals; a
+// schedule beyond the arena's 2n+2 capacity is refused.
+func (a *EvalArena) SetSchedule(sched *schedule.Schedule) error {
+	a.checkLive()
+	ivs := sched.Intervals()
+	if len(ivs) > a.maxZ {
+		return fmt.Errorf("sim: %d schedule intervals exceed the arena capacity %d", len(ivs), a.maxZ)
+	}
+	if sched.NumCores() != a.n {
+		return fmt.Errorf("sim: %d-core schedule for %d cores", sched.NumCores(), a.n)
+	}
+	a.period = sched.Period()
+	a.z = len(ivs)
+	for q, iv := range ivs {
+		a.ivLen[q] = iv.Length
+		copy(a.ivModes[q], iv.Modes)
+		thermal.ModeKeyInto(a.keys[q], iv.Modes)
 		a.tinfs[q] = nil
 		a.expLs[q] = nil
 	}
@@ -444,11 +470,23 @@ func (a *EvalArena) densePeakScanSparse(samples int) float64 {
 
 // ComposedEndPeak evaluates the Theorem-1 peak of the assembled cycle
 // entirely in the eigenbasis — the screening evaluator of the incremental
-// m-search. Identical mathematics to Engine.StepUpPeakComposed (and the
-// same ≲1e-8 K agreement with the classic path; see that method), with the
-// exponential factors computed into arena scratch so screening sweeps do
-// not flood the shared length cache with never-again-seen candidate
-// lengths.
+// m-search. Each state interval is a diagonal affine map
+//
+//	y ← E_q ⊙ y + (1 − E_q) ⊙ w_q,   E_q = exp(λ·l_q),  w_q = W⁻¹·T∞(v_q),
+//
+// the full-period propagator composes by the semigroup identity
+// E = ⊙_q E_q, and the stable start is the diagonal solve
+// y*_i = c_i/(1 − E_i) — no dense LU, no O(dim²) steps. One evaluation
+// costs O(z·dim) plus one n×dim core-temperature extraction, versus
+// O(z·dim²) + an O(dim²) LU solve for StableEndTempsInto.
+//
+// The result agrees with the classic StepUpPeak far below the solver's
+// 1e-6 K feasibility tolerance (≲1e-8 K; the diagonal solve of the
+// slowest mode is the conditioning bottleneck) but is NOT bit-identical —
+// the association order of the arithmetic differs — so the m-search only
+// screens with it and confirms on the classic path. The exponential
+// factors are computed into arena scratch so screening sweeps do not
+// flood the shared length cache with never-again-seen candidate lengths.
 func (a *EvalArena) ComposedEndPeak() (float64, error) {
 	a.checkLive()
 	if a.md.SparsePath() {
@@ -483,45 +521,4 @@ func (a *EvalArena) ComposedEndPeak() (float64, error) {
 	a.eng.coreW.MulVecTo(a.temps, c)
 	peak, _ := mat.VecMax(a.temps)
 	return peak, nil
-}
-
-// SchedStableDensePeak evaluates the dense-sampled stable peak of an
-// arbitrary schedule (PCO's phase-shifted candidates) through arena
-// scratch — bit-identical to NewStableCached + PeakDense(samples), without
-// the per-step state allocations. Schedules whose merged interval count
-// exceeds the arena capacity fall back to the allocating path (same
-// values).
-func (a *EvalArena) SchedStableDensePeak(cache *PeriodCache, sched *schedule.Schedule, samples int) (float64, error) {
-	a.checkLive()
-	if cache.md != a.md {
-		return 0, fmt.Errorf("sim: PeriodCache built for a different model")
-	}
-	if cache.prop != a.eng.prop {
-		return 0, fmt.Errorf("sim: EvalArena requires a cache from its own engine")
-	}
-	if d := cache.tp - sched.Period(); d > 1e-9*sched.Period() || d < -1e-9*sched.Period() {
-		return 0, fmt.Errorf("sim: PeriodCache period %v != schedule period %v", cache.tp, sched.Period())
-	}
-	ivs := sched.Intervals()
-	if len(ivs) > a.maxZ {
-		st, err := NewStableCached(a.md, sched, cache)
-		if err != nil {
-			return 0, err
-		}
-		peak, _, _ := st.PeakDense(samples)
-		return peak, nil
-	}
-	a.period = sched.Period()
-	a.z = len(ivs)
-	for q, iv := range ivs {
-		a.ivLen[q] = iv.Length
-		copy(a.ivModes[q], iv.Modes)
-		thermal.ModeKeyInto(a.keys[q], iv.Modes)
-		a.tinfs[q] = nil
-		a.expLs[q] = nil
-	}
-	if err := a.stablePasses(cache); err != nil {
-		return 0, err
-	}
-	return a.densePeakScan(cache.prop, samples), nil
 }

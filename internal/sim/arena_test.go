@@ -74,10 +74,10 @@ func TestArenaBitIdenticalToSchedulePath(t *testing.T) {
 		if dp != refPeak {
 			t.Fatalf("run %d: dense peak: arena %v != schedule %v", run, dp, refPeak)
 		}
-		if err := a.SetTwoMode(tc, specs); err != nil {
+		if err := a.SetSchedule(sched); err != nil {
 			t.Fatal(err)
 		}
-		sp, err := a.SchedStableDensePeak(cache, sched, 24)
+		sp, err := a.StableDensePeak(cache, 24)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,19 +87,12 @@ func TestArenaBitIdenticalToSchedulePath(t *testing.T) {
 	}
 }
 
-// The composed screening evaluator must agree with the classic Theorem-1
-// evaluation to the documented tolerance (see Engine.StepUpPeakComposed)
-// and exactly match the engine's own composed evaluator.
-func TestArenaComposedMatchesEngine(t *testing.T) {
-	md, _ := engineSchedule(t, 6)
-	eng := NewEngine(md)
-	const tc = 10e-3
-	specs := arenaSpecs(6)
+// checkComposedMatchesClassic requires the arena's composed peak of the
+// two-mode schedule (tc, specs) to match the classic Theorem-1 StepUpPeak
+// to the documented tolerance (see EvalArena.ComposedEndPeak).
+func checkComposedMatchesClassic(t *testing.T, eng *Engine, tc float64, specs []schedule.TwoModeSpec) {
+	t.Helper()
 	sched, err := schedule.TwoMode(tc, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engPeak, _, err := eng.StepUpPeakComposed(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +109,21 @@ func TestArenaComposedMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp != engPeak {
-		t.Fatalf("arena composed peak %v != engine composed peak %v", cp, engPeak)
+	if d := math.Abs(cp - classic); d > 1e-7 {
+		t.Fatalf("n=%d tc=%v: composed peak %v diverges from classic %v by %v K", len(specs), tc, cp, classic, d)
 	}
-	if d := math.Abs(cp - classic); d > 1e-6 {
-		t.Fatalf("composed peak %v diverges from classic %v by %v K", cp, classic, d)
+}
+
+// The composed screening evaluator must agree with the classic evaluation
+// across platform sizes and cycle lengths, including the degenerate
+// constant-low and constant-high cores of arenaSpecs.
+func TestArenaComposedMatchesEngine(t *testing.T) {
+	for _, n := range []int{2, 3, 6, 9} {
+		md, _ := engineSchedule(t, n)
+		eng := NewEngine(md)
+		for _, tc := range []float64{10e-3, 20e-3} {
+			checkComposedMatchesClassic(t, eng, tc, arenaSpecs(n))
+		}
 	}
 }
 
@@ -217,6 +220,28 @@ func TestArenaCacheGuards(t *testing.T) {
 	}
 	if err := a.StableEndTempsInto(end, wrong); err == nil {
 		t.Fatal("wrong-period cache accepted")
+	}
+	// Four staggered segments per core merge into more intervals than the
+	// arena holds (2n+2); SetSchedule must refuse rather than truncate.
+	var cores [][]schedule.Segment
+	for i := 0; i < md.NumCores(); i++ {
+		lead, d := 1e-3+0.3e-3*float64(i), 4e-3
+		cores = append(cores, []schedule.Segment{
+			{Length: lead, Mode: power.NewMode(0.6)},
+			{Length: d, Mode: power.NewMode(1.3)},
+			{Length: d, Mode: power.NewMode(0.6)},
+			{Length: 20e-3 - lead - 2*d, Mode: power.NewMode(1.3)},
+		})
+	}
+	busy, err := schedule.New(cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(busy.Intervals()); n <= 2*md.NumCores()+2 {
+		t.Fatalf("test schedule has only %d intervals", n)
+	}
+	if err := a.SetSchedule(busy); err == nil {
+		t.Fatal("over-capacity schedule accepted")
 	}
 }
 

@@ -114,54 +114,3 @@ func (e *Engine) StepUpPeak(sched *schedule.Schedule) (float64, int, error) {
 	p, c := st.PeakEndOfPeriod()
 	return p, c, nil
 }
-
-// StepUpPeakComposed evaluates the Theorem-1 peak of a step-up schedule
-// entirely in the eigenbasis of A. Each state interval is a diagonal
-// affine map
-//
-//	y ← E_q ⊙ y + (1 − E_q) ⊙ w_q,   E_q = exp(λ·l_q),  w_q = W⁻¹·T∞(v_q),
-//
-// the full-period propagator composes by the semigroup identity
-// E = ⊙_q E_q (thermal.Propagator.Compose), and the stable start is the
-// diagonal solve y*_i = c_i/(1 − E_i) — no dense LU, no O(dim²) steps.
-// One evaluation costs O(z·dim) plus one n×dim core-temperature
-// extraction, versus O(z·dim²) + an O(dim²) LU solve for the classic
-// path.
-//
-// The result agrees with StepUpPeak far below the solver's 1e-6 K
-// feasibility tolerance (≲1e-8 K; the diagonal solve of the slowest mode
-// is the conditioning bottleneck) but is
-// NOT bit-identical — the association order of the arithmetic differs.
-// AO/PCO therefore keep the classic path for reproducible plans; use this
-// evaluator for screening sweeps, dashboards, and throughput-oriented
-// services where last-ulp reproducibility is not required.
-func (e *Engine) StepUpPeakComposed(sched *schedule.Schedule) (float64, int, error) {
-	if e.md.SparsePath() {
-		// No eigenbasis to compose in — the exact classic path is the
-		// screening evaluator on the sparse backend.
-		return e.StepUpPeak(sched)
-	}
-	ivs := sched.Intervals()
-	dim := e.md.NumNodes()
-	etot := make([]float64, dim) // composed propagator ⊙_q E_q
-	c := make([]float64, dim)    // accumulated affine term in eigenbasis
-	for i := range etot {
-		etot[i] = 1
-	}
-	for _, iv := range ivs {
-		eq := e.prop.ExpFactors(iv.Length)
-		wq := e.prop.SteadyEigen(iv.Modes)
-		for i := 0; i < dim; i++ {
-			c[i] = eq[i]*c[i] + (1-eq[i])*wq[i]
-			etot[i] *= eq[i]
-		}
-	}
-	// Stable fixed point y* = E·y* + c. Stability (λ < 0) guarantees
-	// E_i < 1 for any positive period, so the diagonal solve is regular.
-	for i := 0; i < dim; i++ {
-		c[i] /= 1 - etot[i]
-	}
-	temps := e.coreW.MulVec(c)
-	peak, core := mat.VecMax(temps)
-	return peak, core, nil
-}

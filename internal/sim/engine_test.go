@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -9,6 +8,18 @@ import (
 	"thermosc/internal/schedule"
 	"thermosc/internal/thermal"
 )
+
+func engineSpecs(n int) []schedule.TwoModeSpec {
+	specs := make([]schedule.TwoModeSpec, n)
+	for i := range specs {
+		specs[i] = schedule.TwoModeSpec{
+			Low:       power.NewMode(0.6),
+			High:      power.NewMode(1.3),
+			HighRatio: 0.25 + 0.06*float64(i%7),
+		}
+	}
+	return specs
+}
 
 func engineSchedule(t testing.TB, n int) (*thermal.Model, *schedule.Schedule) {
 	t.Helper()
@@ -20,15 +31,7 @@ func engineSchedule(t testing.TB, n int) (*thermal.Model, *schedule.Schedule) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := make([]schedule.TwoModeSpec, n)
-	for i := range specs {
-		specs[i] = schedule.TwoModeSpec{
-			Low:       power.NewMode(0.6),
-			High:      power.NewMode(1.3),
-			HighRatio: 0.25 + 0.06*float64(i%7),
-		}
-	}
-	s, err := schedule.TwoMode(20e-3, specs)
+	s, err := schedule.TwoMode(20e-3, engineSpecs(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,26 +102,12 @@ func TestEnginePeriodCachePooled(t *testing.T) {
 	}
 }
 
-// The composed (semigroup) evaluator must agree with the classic
-// Theorem-1 path to solver tolerance on step-up schedules.
+// The composed evaluator (EvalArena.ComposedEndPeak) must agree with the
+// classic Theorem-1 path to solver tolerance on step-up schedules.
 func TestStepUpPeakComposedMatchesClassic(t *testing.T) {
 	for _, n := range []int{2, 3, 6, 9} {
-		md, s := engineSchedule(t, n)
-		eng := NewEngine(md)
-		classic, coreA, err := eng.StepUpPeak(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		composed, coreB, err := eng.StepUpPeakComposed(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(classic-composed) > 1e-7 {
-			t.Fatalf("n=%d: composed peak %v vs classic %v", n, composed, classic)
-		}
-		if coreA != coreB {
-			t.Fatalf("n=%d: hottest core %d vs %d", n, coreB, coreA)
-		}
+		md, _ := engineSchedule(t, n)
+		checkComposedMatchesClassic(t, NewEngine(md), 20e-3, engineSpecs(n))
 	}
 }
 

@@ -145,8 +145,8 @@ func TestEXSDegradedIncumbent(t *testing.T) {
 	p := Problem{Model: md, Levels: power.FullRange(), TmaxC: 65,
 		Overhead: power.DefaultOverhead(), Workers: 1}
 
-	// The sequential EXS polls the context every 1024 nodes; by then the
-	// high-first descent has long since produced an incumbent.
+	// EXS polls the context every 64 nodes; by then the high-first
+	// descent has already produced an incumbent.
 	p.Ctx = newCountdownCtx(0)
 	res, err := EXS(p)
 	if err != nil {
@@ -171,17 +171,17 @@ func TestEXSDegradedIncumbent(t *testing.T) {
 }
 
 // A cancel must land within one evaluation's worth of work inside the
-// parallel EXS inner loop — not after a whole subtree unwinds. The test
+// EXS inner loop — not after a whole subtree unwinds. The test
 // pins the latency: on a search space that takes far longer than the
 // bound to exhaust, cancellation must return within a small fraction of
 // that.
-func TestEXSParallelCancelLatency(t *testing.T) {
+func TestEXSCancelLatency(t *testing.T) {
 	md, err := thermal.Default(3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := Problem{Model: md, Levels: power.FullRange(), TmaxC: 80,
-		Overhead: power.DefaultOverhead()}
+		Overhead: power.DefaultOverhead(), Workers: 4}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	p.Ctx = ctx
@@ -191,7 +191,7 @@ func TestEXSParallelCancelLatency(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := EXSParallel(p, 4)
+		res, err := EXS(p)
 		done <- outcome{res, err}
 	}()
 
@@ -208,7 +208,7 @@ func TestEXSParallelCancelLatency(t *testing.T) {
 		switch {
 		case out.err != nil:
 			if !errors.Is(out.err, ErrDeadline) {
-				t.Fatalf("canceled EXSParallel error %v is not a typed ErrDeadline", out.err)
+				t.Fatalf("canceled EXS error %v is not a typed ErrDeadline", out.err)
 			}
 		case out.res.Degraded == DegradedEXS:
 			if !out.res.Feasible || out.res.Throughput <= 0 {
@@ -218,13 +218,13 @@ func TestEXSParallelCancelLatency(t *testing.T) {
 			// The machine finished the search before the cancel landed —
 			// nothing to pin, but the result must be intact.
 			if !out.res.Feasible {
-				t.Fatalf("complete EXSParallel result infeasible: %+v", out.res)
+				t.Fatalf("complete EXS result infeasible: %+v", out.res)
 			}
 		default:
 			t.Fatalf("unexpected degradation tag %q", out.res.Degraded)
 		}
 	case <-time.After(latencyBound + 25*time.Second):
-		t.Fatal("EXSParallel never returned after cancel")
+		t.Fatal("EXS never returned after cancel")
 	}
 }
 

@@ -321,10 +321,10 @@ func betterState(p Problem, a, b *aoState) *aoState {
 
 // exsSeedSpecs converts the optimal constant assignment into oscillation
 // specs anchored at each core's EXS level, paired with the next level up.
-// The parallel branch-and-bound keeps the seed cheap on large grids,
-// where the sequential search's subtree count explodes.
+// EXS fans its subtrees out across p.Workers, which keeps the seed cheap
+// on large grids, where the subtree count explodes.
 func exsSeedSpecs(p Problem) ([]coreSpec, int64, bool) {
-	res, err := EXSParallel(p, 0)
+	res, err := EXS(p)
 	if err != nil || !res.Feasible || res.Schedule == nil || res.Degraded != DegradedNone {
 		if res != nil {
 			return nil, res.Evals, false

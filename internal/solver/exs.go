@@ -2,6 +2,8 @@ package solver
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"thermosc/internal/mat"
@@ -87,10 +89,21 @@ func EXSNaive(p Problem) (*Result, error) {
 	return exsResult(p, "EXS-naive", best, bestSum, evals, start)
 }
 
-// EXS is the branch-and-bound variant: identical optimum to Algorithm 1,
-// but prunes subtrees whose best-case completion is already infeasible or
-// cannot beat the incumbent. It is the default EXS used by the comparison
-// experiments; EXPERIMENTS.md reports both running times.
+// EXS is the branch-and-bound variant of Algorithm 1: identical optimum
+// to EXSNaive, but prunes subtrees whose best-case completion is already
+// infeasible or cannot beat the incumbent. It is the default EXS used by
+// the comparison experiments; EXPERIMENTS.md reports both running times.
+//
+// The top-level branches (core 0's candidate modes) form a work queue for
+// p.workers() goroutines that share the incumbent bound, and the merge
+// walks the subtrees in depth-first order, so every width returns the
+// same assignment — when several tie for the optimum, the one the
+// depth-first order reaches first. Workers refresh the shared bound at
+// every subtree root: a late subtree inherits the best bound found so far
+// and prunes harder than a cold search of it would. With one worker the
+// search is the plain sequential depth-first branch-and-bound, node for
+// node, so its Evals are reproducible; above one worker they depend on
+// how the subtrees interleave.
 func EXS(p Problem) (*Result, error) {
 	p, err := p.withDefaults()
 	if err != nil {
@@ -123,82 +136,164 @@ func EXS(p Problem) (*Result, error) {
 		maxSpeedSuffix[j] = maxSpeedSuffix[j+1] + volts[len(volts)-1]
 	}
 
-	bestSum := math.Inf(-1)
-	best := make([]int, n)
-	found := false
-	idx := make([]int, n)
-	var evals int64
-	var aborted error
-
-	// Depth-indexed scratch: the dfs visits one node at a time, so the
-	// child state of depth j can live in row j+1 — one allocation for the
-	// whole search instead of one per interior node.
-	scratchBuf := make([]float64, (n+2)*n)
-	scratch := make([][]float64, n+2)
-	for d := range scratch {
-		scratch[d] = scratchBuf[d*n : (d+1)*n : (d+1)*n]
-	}
-
-	var dfs func(j int, temps []float64, speedSum float64)
-	dfs = func(j int, temps []float64, speedSum float64) {
-		if aborted != nil {
-			return
-		}
-		evals++
-		if evals&1023 == 0 {
-			if err := p.ctxErr(); err != nil {
-				aborted = err
-				return
-			}
-		}
-		if speedSum+maxSpeedSuffix[j] <= bestSum {
-			return // cannot beat the incumbent
-		}
-		// Feasibility bound: even the coldest completion overheats.
-		for i := 0; i < n; i++ {
-			if temps[i]+minSuffix[j][i] > tmax+feasTol {
-				return
-			}
-		}
-		if j == n {
-			if speedSum > bestSum {
-				bestSum = speedSum
-				copy(best, idx)
-				found = true
-			}
-			return
-		}
-		// Try levels from highest to lowest so good incumbents appear
-		// early and tighten the throughput bound.
-		child := scratch[j+1]
-		for k := len(volts) - 1; k >= 0; k-- {
-			idx[j] = k
-			copy(child, temps)
-			mat.VecAXPY(child, psi[k], hcc[j])
-			dfs(j+1, child, speedSum+volts[k])
+	// The root node: even the coldest assignment overheats.
+	totalEvals := int64(1)
+	for i := 0; i < n; i++ {
+		if minSuffix[0][i] > tmax+feasTol {
+			return exsResult(p, "EXS", nil, math.Inf(-1), totalEvals, start)
 		}
 	}
-	dfs(0, scratch[0], 0)
-	if aborted != nil {
-		// Anytime: the incumbent is a fully-evaluated feasible assignment
-		// (pruning never admits an infeasible leaf), just not the proven
-		// optimum — return it tagged Degraded. With no incumbent the
-		// deadline beat every leaf: a typed deadline refusal.
-		if !found {
-			return nil, deadlineErr(aborted)
+
+	// Shared incumbent value, which later subtrees prune against, the
+	// core-0 level of the first subtree in depth-first order known to
+	// reach it, and each subtree's own optimum, indexed by core 0's
+	// level. The merge after the search walks the subtrees high levels
+	// first, so a tie goes to the subtree the depth-first order visits
+	// first, not to whichever worker finished first.
+	var mu sync.Mutex
+	bestSum, bestFrom := math.Inf(-1), -1
+	jobSum := make([]float64, len(volts))
+	jobIdx := make([][]int, len(volts))
+	// Cooperative cancellation: any worker observing an expired context
+	// raises the flag; the others unwind their subtrees immediately.
+	var stop atomic.Bool
+
+	// Work queue: core-0 level indices, high levels first (better seeds).
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	worker := func() {
+		defer wg.Done()
+		idx := make([]int, n)
+		temps0 := make([]float64, n)
+		var evals int64
+		// bound is what a node's best completion must beat. Until the
+		// subtree has its own incumbent (localIdx) it is the shared
+		// incumbent, nudged one ulp down when that came from a subtree
+		// visited later in depth-first order: a tie found here comes
+		// first, so it must survive. After that it is the subtree's own
+		// incumbent.
+		var bound float64
+		var localIdx []int
+
+		// Depth-indexed scratch: the dfs visits one node at a time, so
+		// the child state of depth j can live in row j+1 — one allocation
+		// for the worker's whole share of the tree, not one per interior
+		// node.
+		scratchBuf := make([]float64, (n+2)*n)
+		scratch := make([][]float64, n+2)
+		for d := range scratch {
+			scratch[d] = scratchBuf[d*n : (d+1)*n : (d+1)*n]
 		}
-		res, err := exsResult(p, "EXS", best, bestSum, evals, start)
+
+		var dfs func(j int, temps []float64, speedSum float64)
+		dfs = func(j int, temps []float64, speedSum float64) {
+			evals++
+			// Poll the context every 64 evals (a node costs O(n) flops, so
+			// 64 of them is well under one schedule evaluation): a cancel
+			// lands within one eval's worth of work, not a whole subtree
+			// later.
+			if evals&63 == 0 && p.ctxErr() != nil {
+				stop.Store(true)
+				return
+			}
+			if speedSum+maxSpeedSuffix[j] <= bound {
+				return // cannot beat the incumbent
+			}
+			// Feasibility bound: even the coldest completion overheats.
+			for i := 0; i < n; i++ {
+				if temps[i]+minSuffix[j][i] > tmax+feasTol {
+					return
+				}
+			}
+			if j == n {
+				// At a leaf the bound check above compared the speed sum
+				// itself: the leaf beats the incumbent.
+				bound = speedSum
+				localIdx = append(localIdx[:0], idx...)
+				return
+			}
+			// Try levels from highest to lowest so good incumbents appear
+			// early and tighten the throughput bound.
+			child := scratch[j+1]
+			for k := len(volts) - 1; k >= 0; k-- {
+				// Stop check: a cancellation unwinds this level between
+				// children instead of after the whole fan-out of remaining
+				// subtrees.
+				if stop.Load() {
+					return
+				}
+				idx[j] = k
+				copy(child, temps)
+				mat.VecAXPY(child, psi[k], hcc[j])
+				dfs(j+1, child, speedSum+volts[k])
+			}
+		}
+
+		for k0 := range jobs {
+			// Inherit the freshest shared bound for this subtree.
+			mu.Lock()
+			bound = bestSum
+			if bestFrom < k0 {
+				bound = math.Nextafter(bound, math.Inf(-1))
+			}
+			mu.Unlock()
+			localIdx = nil
+
+			idx[0] = k0
+			for i := range temps0 {
+				temps0[i] = psi[k0] * hcc[0][i]
+			}
+			dfs(1, temps0, volts[k0])
+
+			if localIdx != nil {
+				mu.Lock()
+				jobSum[k0], jobIdx[k0] = bound, localIdx
+				if bound > bestSum || bound == bestSum && k0 > bestFrom {
+					bestSum, bestFrom = bound, k0
+				}
+				mu.Unlock()
+			}
+		}
+		mu.Lock()
+		totalEvals += evals
+		mu.Unlock()
+	}
+
+	workers := min(p.workers(), len(volts))
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go worker()
+	}
+	for k := len(volts) - 1; k >= 0; k-- {
+		jobs <- k
+	}
+	close(jobs)
+	wg.Wait()
+	var best []int
+	bestSum = math.Inf(-1)
+	for k := len(volts) - 1; k >= 0; k-- { // depth-first order: high levels first
+		if jobIdx[k] != nil && jobSum[k] > bestSum {
+			bestSum, best = jobSum[k], jobIdx[k]
+		}
+	}
+	if stop.Load() {
+		// Anytime: every worker merged its incumbent before exiting, so
+		// `best` is the best fully-evaluated feasible assignment found
+		// before the deadline (pruning never admits an infeasible leaf),
+		// just not the proven optimum — return it tagged Degraded. No
+		// incumbent means the deadline beat every leaf: a typed deadline
+		// refusal.
+		if best == nil {
+			return nil, deadlineErr(p.ctxErr())
+		}
+		res, err := exsResult(p, "EXS", best, bestSum, totalEvals, start)
 		if err != nil {
 			return nil, err
 		}
 		res.Degraded = DegradedEXS
 		return res, nil
 	}
-
-	if !found {
-		return exsResult(p, "EXS", nil, bestSum, evals, start)
-	}
-	return exsResult(p, "EXS", best, bestSum, evals, start)
+	return exsResult(p, "EXS", best, bestSum, totalEvals, start)
 }
 
 // candidateVoltages returns the constant-mode search space: the discrete

@@ -48,6 +48,7 @@ func TestHeteroIdealVoltagesFavorLittleCores(t *testing.T) {
 
 func TestHeteroEXSMatchesNaive(t *testing.T) {
 	p := heteroProblem(t, []float64{1.5, 1, 0.8}, 3, 60)
+	p.Workers = 1
 	fast, err := EXS(p)
 	if err != nil {
 		t.Fatal(err)
@@ -59,12 +60,13 @@ func TestHeteroEXSMatchesNaive(t *testing.T) {
 	if math.Abs(fast.Throughput-naive.Throughput) > 1e-9 {
 		t.Fatalf("hetero EXS %v != naive %v", fast.Throughput, naive.Throughput)
 	}
-	par, err := EXSParallel(p, 3)
+	p.Workers = 3
+	par, err := EXS(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(par.Throughput-fast.Throughput) > 1e-9 {
-		t.Fatalf("hetero parallel EXS %v != sequential %v", par.Throughput, fast.Throughput)
+		t.Fatalf("hetero EXS at 3 workers %v != one worker %v", par.Throughput, fast.Throughput)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // This file is the parallel half of the AO/PCO evaluation engine: a
 // deterministic worker pool (parFor/parForW), the per-worker arena scratch
 // (workerArenas), and the fanned-out m-search (searchM). The contract
-// mirrors exs_parallel.go: any worker count — including 1, the sequential
+// mirrors EXS (exs.go): any worker count — including 1, the sequential
 // reference path — produces bit-identical results. That holds because
 // every candidate (an oscillation count m, a TPT/refill trial index j, a
 // PCO phase offset k) is evaluated independently with arithmetic untouched
@@ -126,7 +126,7 @@ type mSearch struct {
 // ever reach, and the margin keeps plateau wiggle from counting as a rise.
 // Screened minima within confirmBand Kelvin of the best composed peak are
 // re-evaluated classically: the composed evaluator agrees with the classic
-// path to ≲1e-8 K (see sim.Engine.StepUpPeakComposed), two orders of
+// path to ≲1e-8 K (see sim.EvalArena.ComposedEndPeak), two orders of
 // magnitude tighter than the band, so the classic winner is always inside
 // it and the chosen plan is bit-identical to a full classic scan.
 const (

@@ -67,7 +67,11 @@ func PCO(p Problem) (*Result, error) {
 		}
 		if !p.ClassicEval {
 			denseEvals.Add(1)
-			pk, err := wa.arenas[w].SchedStableDensePeak(st.cache, cyc, p.PeakSamples)
+			a := wa.arenas[w]
+			if err := a.SetSchedule(cyc); err != nil {
+				return math.Inf(1), nil, err
+			}
+			pk, err := a.StableDensePeak(st.cache, p.PeakSamples)
 			if err != nil {
 				return math.Inf(1), nil, err
 			}

@@ -28,10 +28,9 @@ import (
 //
 // The exponential factors are stored in the eigenbasis of A (diagonal
 // vectors exp(λ·Δt), see mat.Symmetrizable), where the semigroup identity
-// e^{A·(s+t)} = e^{A·s}·e^{A·t} reduces to an elementwise product —
-// Compose derives the propagator of a concatenation of intervals, e.g.
-// one full m-oscillated cycle from its m = 1 factors, without another
-// exponential evaluation (see sim.Engine's composed peak path).
+// e^{A·(s+t)} = e^{A·s}·e^{A·t} reduces to an elementwise product — the
+// composed peak path (sim.EvalArena.ComposedEndPeak) folds a whole cycle
+// that way.
 //
 // Both caches grow without eviction; they are bounded in practice by the
 // TPT adjustment grid (a few thousand distinct lengths and mode vectors
@@ -204,19 +203,6 @@ func (p *Propagator) ExpFactors(dt float64) []float64 {
 	}
 	p.mu.Unlock()
 	return expL
-}
-
-// Compose returns the propagator factors of two concatenated intervals:
-// the diagonal form of the semigroup identity e^{A·(s+t)} = e^{A·s}·e^{A·t}
-// is an elementwise product, so the factors of any composite interval —
-// e.g. one full oscillation cycle assembled from its state intervals —
-// follow from cached factors in O(dim) with no exponential evaluation.
-func (p *Propagator) Compose(a, b []float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] * b[i]
-	}
-	return out
 }
 
 // Step advances the state by dt toward the steady-state target tInf using

@@ -1,7 +1,6 @@
 package thermal
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -83,21 +82,6 @@ func TestPropagatorHitMissAccounting(t *testing.T) {
 	}
 }
 
-// Compose must realize the semigroup identity e^{A(s+t)} = e^{As}·e^{At}
-// up to round-off of the elementwise product.
-func TestPropagatorComposeSemigroup(t *testing.T) {
-	md := testModel(t, 3, 1)
-	prop := NewPropagator(md)
-	s, dt := 3.7e-3, 8.3e-3
-	composed := prop.Compose(prop.ExpFactors(s), prop.ExpFactors(dt))
-	direct := md.Eigen().ExpLambda(s + dt)
-	for i := range direct {
-		if math.Abs(composed[i]-direct[i]) > 1e-14*math.Abs(direct[i])+1e-300 {
-			t.Fatalf("factor %d: composed %v vs direct %v", i, composed[i], direct[i])
-		}
-	}
-}
-
 // Concurrent mixed-key access must be safe (run under -race in CI) and
 // must converge on one shared slice per key.
 func TestPropagatorConcurrent(t *testing.T) {
@@ -126,7 +110,6 @@ func TestPropagatorConcurrent(t *testing.T) {
 				dt := float64(1+k%7) * 1e-3
 				last = prop.Step(dt, state, tinf)
 				prop.SteadyEigen(modes)
-				prop.Compose(prop.ExpFactors(dt), prop.ExpFactors(2*dt))
 			}
 			results[w] = last
 		}(w)

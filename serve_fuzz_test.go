@@ -76,7 +76,7 @@ func FuzzServeRequest(f *testing.F) {
 		f.Add([]byte(s))
 	}
 
-	lim := serveLimits{maxCores: 256, maxVoltages: 64, maxTraceSamples: 1 << 17}
+	lim := serveLimits{maxCores: 256, maxVoltages: 64}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, planKey, platKey, err := parseMaximizeRequest(data, lim)
 		if err != nil {

@@ -44,17 +44,26 @@ func (c *lruCache[V]) Get(key string) (V, bool) {
 func (c *lruCache[V]) Put(key string, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// insertLocked keeps an existing entry's value; Put replaces it.
+	c.insertLocked(key, val).val = val
+}
+
+// insertLocked moves key's entry to the front, or inserts val under key
+// and evicts from the tail past capacity, and returns the entry. The
+// caller holds c.mu.
+func (c *lruCache[V]) insertLocked(key string, val V) *lruEntry[V] {
 	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry[V]).val = val
 		c.ll.MoveToFront(el)
-		return
+		return el.Value.(*lruEntry[V])
 	}
-	c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val})
+	ent := &lruEntry[V]{key: key, val: val}
+	c.items[key] = c.ll.PushFront(ent)
 	for c.ll.Len() > c.cap {
 		tail := c.ll.Back()
 		c.ll.Remove(tail)
 		delete(c.items, tail.Value.(*lruEntry[V]).key)
 	}
+	return ent
 }
 
 func (c *lruCache[V]) Len() int {
@@ -79,17 +88,8 @@ func (c *lruCache[V]) GetOrCreate(key string, build func() (V, error)) (V, error
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok { // lost the build race: keep the incumbent
-		c.ll.MoveToFront(el)
-		return el.Value.(*lruEntry[V]).val, nil
-	}
-	c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: v})
-	for c.ll.Len() > c.cap {
-		tail := c.ll.Back()
-		c.ll.Remove(tail)
-		delete(c.items, tail.Value.(*lruEntry[V]).key)
-	}
-	return v, nil
+	// A lost build race keeps the incumbent.
+	return c.insertLocked(key, v).val, nil
 }
 
 // cachedPlan is the plan cache's (and flight group's) value: the

@@ -45,6 +45,14 @@ import (
 // not a proxy loop.
 const clusterHopHeader = "X-Thermosc-Cluster-Hop"
 
+// forwardTimeout caps one proxied request to the owner replica (the
+// proxied request also inherits the client's own deadline via context),
+// and likewise one hinted-handoff replay or drain push.
+const forwardTimeout = 30 * time.Second
+
+// probeSeed pins the per-tick health-probe ordering.
+const probeSeed = 1
+
 // Serve-source labels for the cluster counters and the response's
 // `source` field.
 const (
@@ -83,10 +91,6 @@ type ClusterConfig struct {
 	// StorePath is the log path for the "file" backend (required with
 	// it, rejected otherwise).
 	StorePath string
-	// ForwardTimeout caps one proxied request to the owner replica
-	// (default 30 s; the proxied request also inherits the client's own
-	// deadline via context).
-	ForwardTimeout time.Duration
 
 	// ProbeInterval is the failure detector's dedicated /healthz probe
 	// period. 0 (the default) disables the probe loop — the detector
@@ -94,8 +98,6 @@ type ClusterConfig struct {
 	// tests see exactly the observations they inject. thermosc-serve
 	// defaults the flag to 1s.
 	ProbeInterval time.Duration
-	// ProbeSeed pins the per-tick probe ordering (default 1).
-	ProbeSeed int64
 	// SuspectAfter / DeadAfter / RecoverAfter tune the detector's
 	// state machine thresholds (defaults cluster.DefaultSuspectAfter /
 	// DefaultDeadAfter / DefaultRecoverAfter).
@@ -125,12 +127,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	}
 	if c.StoreBackend == "" {
 		c.StoreBackend = "mem"
-	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 30 * time.Second
-	}
-	if c.ProbeSeed == 0 {
-		c.ProbeSeed = 1
 	}
 	if c.HintCap <= 0 {
 		c.HintCap = cluster.DefaultHintCap
@@ -240,7 +236,7 @@ func newServeCluster(cfg ClusterConfig) (*serveCluster, error) {
 			// a dead peer can hold a goroutine — without them, a
 			// blackholed peer accumulates dialing connections for the full
 			// forward timeout each. No ResponseHeaderTimeout: a forwarded
-			// cold solve legitimately takes seconds, and ForwardTimeout
+			// cold solve legitimately takes seconds, and forwardTimeout
 			// already caps the whole exchange.
 			Transport: &http.Transport{
 				DialContext:         (&net.Dialer{Timeout: 2 * time.Second, KeepAlive: 15 * time.Second}).DialContext,
@@ -298,7 +294,7 @@ func (c *serveCluster) healthyOwner(planKey string) string {
 func (c *serveCluster) observeHealth(peer string, ok bool, latency time.Duration) {
 	state, transitioned := c.health.Observe(peer, ok, latency)
 	if transitioned && state == cluster.StateAlive {
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ForwardTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
 		defer cancel()
 		c.replayHints(ctx, peer)
 	}
@@ -313,19 +309,26 @@ func (c *serveCluster) replayHints(ctx context.Context, peer string) {
 	if len(keys) == 0 {
 		return
 	}
-	entries := cluster.MissingEntries(c.store, keys)
+	if _, err := c.pushEntries(ctx, peer, cluster.MissingEntries(c.store, keys)); err != nil {
+		c.hints.Requeue(peer, keys)
+	}
+}
+
+// pushEntries sends entries to peer as push-only sync rounds of at most
+// cluster.MaxSyncEntries each, stopping at the first failed round, and
+// returns how many entries were delivered.
+func (c *serveCluster) pushEntries(ctx context.Context, peer string, entries []cluster.Entry) (int, error) {
+	pushed := 0
 	for len(entries) > 0 {
-		batch := entries
-		if len(batch) > cluster.MaxSyncEntries {
-			batch = batch[:cluster.MaxSyncEntries]
-		}
+		batch := entries[:min(len(entries), cluster.MaxSyncEntries)]
 		if _, err := c.postSync(ctx, peer, cluster.SyncRequest{From: c.cfg.Self, Entries: batch}); err != nil {
-			c.hints.Requeue(peer, keys)
-			return
+			return pushed, err
 		}
 		c.entriesSent.Add(uint64(len(batch)))
+		pushed += len(batch)
 		entries = entries[len(batch):]
 	}
+	return pushed, nil
 }
 
 // startLoops launches the background anti-entropy and health-probe
@@ -394,7 +397,7 @@ func (c *serveCluster) syncTick(ctx context.Context) {
 // replayable).
 func (c *serveCluster) probeTick(ctx context.Context) {
 	tick := c.probeTicks.Add(1)
-	order := rand.New(rand.NewSource(c.cfg.ProbeSeed + int64(tick))).Perm(len(c.cfg.Peers))
+	order := rand.New(rand.NewSource(probeSeed + int64(tick))).Perm(len(c.cfg.Peers))
 	for _, i := range order {
 		c.probeOne(ctx, c.cfg.Peers[i])
 	}
@@ -638,7 +641,7 @@ func (s *Server) clusterStorePut(planKey string, ent cachedPlan) {
 // relayed verbatim — they are deterministic or backpressure answers,
 // not reachability failures.
 func (s *Server) forwardMaximize(w http.ResponseWriter, r *http.Request, body []byte, owner, planKey string, start time.Time, failed *bool) bool {
-	ctx, cancel := context.WithTimeout(r.Context(), s.cluster.cfg.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), forwardTimeout)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+"/v1/maximize", bytes.NewReader(body))
 	if err != nil {
@@ -930,7 +933,7 @@ func (s *Server) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.draining.Store(true)
-	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), forwardTimeout)
 	defer cancel()
 	pushed, targets, failures := c.drainPush(ctx)
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -959,18 +962,10 @@ func (c *serveCluster) drainPush(ctx context.Context) (pushed, targets, failures
 	}
 	for t, entries := range byTarget {
 		targets++
-		for len(entries) > 0 {
-			batch := entries
-			if len(batch) > cluster.MaxSyncEntries {
-				batch = batch[:cluster.MaxSyncEntries]
-			}
-			if _, err := c.postSync(ctx, t, cluster.SyncRequest{From: c.cfg.Self, Entries: batch}); err != nil {
-				failures++
-				break
-			}
-			c.entriesSent.Add(uint64(len(batch)))
-			pushed += len(batch)
-			entries = entries[len(batch):]
+		n, err := c.pushEntries(ctx, t, entries)
+		pushed += n
+		if err != nil {
+			failures++
 		}
 	}
 	return pushed, targets, failures

@@ -84,9 +84,6 @@ type ServerConfig struct {
 	// Workers is the per-solve parallel fan-out width passed to the
 	// solvers (0 = GOMAXPROCS). Plans are identical at any width.
 	Workers int
-	// MaxTraceSamples caps periods × samples_per_period in /v1/simulate
-	// (default 131072).
-	MaxTraceSamples int
 	// AuditEvery, when > 0, audits every Nth cold solve asynchronously
 	// with the independent verification oracle (Platform.Audit): the
 	// request is answered immediately and a background goroutine
@@ -150,9 +147,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.MaxTimeout == 0 {
 		c.MaxTimeout = 2 * time.Minute
 	}
-	if c.MaxTraceSamples == 0 {
-		c.MaxTraceSamples = 1 << 17
-	}
 	if c.SolveConcurrency == 0 {
 		c.SolveConcurrency = runtime.GOMAXPROCS(0)
 	}
@@ -175,7 +169,7 @@ func (c ServerConfig) withDefaults() ServerConfig {
 }
 
 func (c ServerConfig) limits() serveLimits {
-	return serveLimits{maxCores: c.MaxCores, maxVoltages: 64, maxTraceSamples: c.MaxTraceSamples}
+	return serveLimits{maxCores: c.MaxCores, maxVoltages: 64}
 }
 
 // NewServer builds a planning service with the given configuration.

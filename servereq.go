@@ -131,10 +131,12 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // serveLimits are the resource caps the decoder enforces; oversized or
 // degenerate requests are rejected before any thermal model is built.
 type serveLimits struct {
-	maxCores        int
-	maxVoltages     int
-	maxTraceSamples int
+	maxCores    int
+	maxVoltages int
 }
+
+// maxTraceSamples caps periods × samples_per_period in /v1/simulate.
+const maxTraceSamples = 1 << 17
 
 // normalizePlatform validates spec against the limits and returns its
 // canonical form: every default spelled out, the level set expanded to
@@ -389,8 +391,8 @@ func parseSimulateRequest(body []byte, lim serveLimits) (spec PlatformSpec, plan
 	if periods < 1 || samples < 1 {
 		return spec, nil, 0, 0, "", badRequestf("invalid trace request (%d periods, %d samples)", req.Periods, req.SamplesPerPeriod)
 	}
-	if periods*samples > lim.maxTraceSamples {
-		return spec, nil, 0, 0, "", badRequestf("trace of %d samples exceeds the cap of %d", periods*samples, lim.maxTraceSamples)
+	if periods*samples > maxTraceSamples {
+		return spec, nil, 0, 0, "", badRequestf("trace of %d samples exceeds the cap of %d", periods*samples, maxTraceSamples)
 	}
 	platKey, err = canonicalKey(spec)
 	if err != nil {

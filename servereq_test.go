@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-var testLimits = serveLimits{maxCores: 16, maxVoltages: 64, maxTraceSamples: 1 << 17}
+var testLimits = serveLimits{maxCores: 16, maxVoltages: 64}
 
 func TestParseMaximizeRequestValidation(t *testing.T) {
 	cases := []struct {
