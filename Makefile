@@ -9,7 +9,8 @@ COVER_MIN ?= 83
 
 .PHONY: all build vet lint test test-race bench bench-json experiments \
         fuzz fuzz-smoke serve-smoke serve-chaos cluster-soak cluster-churn \
-        rig-soak rig-soak-starved verify-diff cover cover-check ci clean
+        rig-soak rig-soak-starved verify-diff cover cover-check perfbench-check \
+        ci clean
 
 all: build vet test
 
@@ -175,10 +176,16 @@ cover-check: cover
 	fi; \
 	echo "coverage $$total% >= $(COVER_MIN)% gate"
 
+# perfbench/ is its own Go module (it replaces thermosc with ../), so
+# build, vet and test above never compile it; this target keeps a root
+# API change from breaking the serve-level benchmark unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Everything CI runs, in one target, for local pre-push verification.
-ci: build lint test test-race fuzz-smoke serve-smoke serve-chaos \
-    cluster-soak cluster-churn rig-soak rig-soak-starved verify-diff \
-    cover-check bench-json
+ci: build lint test test-race perfbench-check fuzz-smoke serve-smoke \
+    serve-chaos cluster-soak cluster-churn rig-soak rig-soak-starved \
+    verify-diff cover-check bench-json
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt BENCH_ao.ci.json \

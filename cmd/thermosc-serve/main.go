@@ -34,7 +34,7 @@ import (
 func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		planCache     = flag.Int("plan-cache", 256, "LRU plan cache capacity")
+		planCache     = flag.Int("plan-cache", 256, "LRU plan cache capacity (in cluster mode it holds only degraded plans)")
 		platformCache = flag.Int("platform-cache", 32, "LRU platform/engine cache capacity")
 		maxCores      = flag.Int("max-cores", 256, "largest platform (total cores) accepted")
 		timeout       = flag.Duration("timeout", 30*time.Second, "default per-request solve timeout")
@@ -44,7 +44,6 @@ func main() {
 		auditEvery    = flag.Int("audit-every", 0, "audit every Nth cold solve with the verification oracle (0 disables)")
 		solveConc     = flag.Int("solve-concurrency", 0, "concurrent solve slots (0 = GOMAXPROCS)")
 		solveQueue    = flag.Int("solve-queue", 0, "admission queue depth; beyond it requests shed with 429 (0 = default 256)")
-		planTTL       = flag.Duration("plan-ttl", 0, "age after which cached complete plans are served stale and refreshed in the background (0 = never stale)")
 		brkWindow     = flag.Int("breaker-window", 0, "audit verdicts in the circuit breaker window (0 = default 20)")
 		brkThreshold  = flag.Float64("breaker-threshold", 0, "audit failure fraction that trips the breaker to fallback-only planning (0 = default 0.5)")
 		brkMinSamples = flag.Int("breaker-min-samples", 0, "verdicts required before the breaker may trip (0 = default 8)")
@@ -113,7 +112,6 @@ func main() {
 		AuditEvery:        *auditEvery,
 		SolveConcurrency:  *solveConc,
 		SolveQueue:        *solveQueue,
-		PlanTTL:           *planTTL,
 		BreakerWindow:     *brkWindow,
 		BreakerThreshold:  *brkThreshold,
 		BreakerMinSamples: *brkMinSamples,

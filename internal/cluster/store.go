@@ -22,10 +22,10 @@ import (
 type Entry struct {
 	Key  string `json:"key"`
 	Plan []byte `json:"plan"`
-	// BornUnixNano is when the plan was first solved (staleness input for
-	// the serving layer's PlanTTL machinery). It is carried, not trusted:
-	// replicas only use it to age entries, never to order writes —
-	// first-write-wins suffices because plans are deterministic.
+	// BornUnixNano is neither written nor read any more. It is kept only
+	// so snapshots, sync messages and file-store logs from earlier
+	// releases, which carry it, still decode: the decoders reject unknown
+	// fields.
 	BornUnixNano int64 `json:"born_unix_nano,omitempty"`
 }
 
@@ -101,9 +101,10 @@ type PlanStore interface {
 
 // MemStore is the in-memory PlanStore: a mutex-guarded map with
 // insertion-order (FIFO) eviction at cap. FIFO rather than LRU because
-// the store is the replication substrate, not the hot cache — the
-// server's LRU in front of it handles recency; the store just has to
-// hold the fleet's working set deterministically.
+// the store is the replication substrate and has to hold the fleet's
+// working set deterministically. The server reads complete plans
+// straight from it (no LRU in front), so a complete plan stays servable
+// from the cache only while the FIFO cap keeps it.
 type MemStore struct {
 	mu    sync.Mutex
 	cap   int

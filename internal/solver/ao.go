@@ -3,7 +3,6 @@ package solver
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"thermosc/internal/mat"
 	"thermosc/internal/power"
@@ -126,10 +125,19 @@ func fillTwoModeSpecs(tms []schedule.TwoModeSpec, specs []coreSpec, o power.Tran
 	}
 }
 
-// thermalTwoModeSpecs is fillTwoModeSpecs pinned to the thermal view — the
-// only view the inner evaluation loops ever score.
-func thermalTwoModeSpecs(tms []schedule.TwoModeSpec, specs []coreSpec, o power.TransitionOverhead, tc float64) {
-	fillTwoModeSpecs(tms, specs, o, tc, cycleThermal)
+// shiftedCycle is buildCycle with core i's phase shifted by offs[i] (nil
+// offs: the aligned cycle) — PCO's interleaved schedule in either view.
+func shiftedCycle(tc float64, specs []coreSpec, offs []float64, o power.TransitionOverhead, kind buildCycleKind) (*schedule.Schedule, error) {
+	cyc, err := buildCycle(tc, specs, o, kind)
+	if err != nil {
+		return nil, err
+	}
+	for i, off := range offs {
+		if off != 0 {
+			cyc = cyc.Shift(i, off)
+		}
+	}
+	return cyc, nil
 }
 
 // nominalThroughput is the chip-wide useful throughput of the specs
@@ -170,7 +178,6 @@ type aoState struct {
 	specs []coreSpec
 	m     int
 	tc    float64
-	eng   *sim.Engine
 	cache *sim.PeriodCache
 	peak  float64
 	hot   int
@@ -197,7 +204,10 @@ func AO(p Problem) (*Result, error) {
 		return nil, err
 	}
 	start := now()
-	st, err := runAO(p)
+	eng := p.engine()
+	ev := newEvaluator(p, eng, p.Model.NumCores())
+	defer ev.release()
+	st, err := runAO(p, eng, ev)
 	if err != nil {
 		return nil, err
 	}
@@ -234,20 +244,21 @@ func AO(p Problem) (*Result, error) {
 // than the best constant assignment. Oscillating on top of that constant
 // assignment — exactly the paper's §III motivation narrative — restores
 // AO ≥ EXS.
-func runAO(p Problem) (*aoState, error) {
+//
+// eng is one evaluation engine per solve — or the caller-shared one from
+// Problem.Engine: both seeds, the m-search, the TPT loops and PCO's
+// continuation share its propagator cache and period operator pool (the
+// two seeds scan the same tc = tp/m grid), and ev, the solve's one
+// evaluator, evaluates through it. A server handling concurrent Maximize
+// calls passes one engine per platform so all in-flight solves share a
+// single pool.
+func runAO(p Problem, eng *sim.Engine, ev evaluator) (*aoState, error) {
 	md := p.Model
 	tmax := p.tmaxRise()
 	volts, err := IdealVoltages(md, tmax, p.Levels.Max())
 	if err != nil {
 		return nil, err
 	}
-	// One evaluation engine per run — or the caller-shared one from
-	// Problem.Engine: both seeds, the m-search, the TPT loops and PCO's
-	// continuation share its propagator cache and period operator pool
-	// (the two seeds scan the same tc = tp/m grid). A server handling
-	// concurrent Maximize calls passes one engine per platform so all
-	// in-flight solves share a single pool.
-	eng := p.engine()
 	idealSpecs := neighborSpecs(p.Levels, volts, !p.DisallowOff)
 	if md.SparsePath() {
 		// At scale the ideal-pinned start can be infeasible by a distance
@@ -258,7 +269,7 @@ func runAO(p Problem) (*aoState, error) {
 			return nil, err
 		}
 	}
-	best, err := optimizeSpecs(p, eng, idealSpecs, 0)
+	best, err := optimizeSpecs(p, ev, idealSpecs, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +283,7 @@ func runAO(p Problem) (*aoState, error) {
 	if best.degraded == DegradedNone && !md.SparsePath() {
 		exsSpecs, exsEvals, ok := exsSeedSpecs(p)
 		if ok {
-			alt, altErr := optimizeSpecs(p, eng, exsSpecs, best.m)
+			alt, altErr := optimizeSpecs(p, ev, exsSpecs, best.m)
 			if altErr == nil {
 				alt.evals += exsEvals
 				tainted := alt.degraded != DegradedNone
@@ -357,14 +368,16 @@ func exsSeedSpecs(p Problem) ([]coreSpec, int64, bool) {
 // specs: the m search (skipped when forceM > 0) followed by TPT-guided
 // ratio reduction, headroom refill, and dense verification. The candidate
 // scans — m values in phase 2, per-core ratio trials in phase 3 — fan out
-// across p.Workers goroutines sharing eng's caches; reductions scan
-// candidates in sequential order, so every worker count yields the same
-// plan bit for bit.
-func optimizeSpecs(p Problem, eng *sim.Engine, specs []coreSpec, forceM int) (*aoState, error) {
-	md := p.Model
+// across p.Workers goroutines sharing the evaluator's engine; reductions
+// scan candidates in sequential order, so every worker count yields the
+// same plan bit for bit.
+func optimizeSpecs(p Problem, ev evaluator, specs []coreSpec, forceM int) (*aoState, error) {
 	tmax := p.tmaxRise()
 	tp := p.BasePeriod
 	workers := p.workers()
+	// ev serves the whole solve (both seeds, then PCO), so this pass's
+	// evaluations are a difference of its running count.
+	evals0 := ev.count()
 	specs = append([]coreSpec(nil), specs...)
 
 	// Scale policy (nil on the dense backend): on large sparse platforms
@@ -372,18 +385,10 @@ func optimizeSpecs(p Problem, eng *sim.Engine, specs []coreSpec, forceM int) (*a
 	// cores instead of all of them (see scale.go). allJ is the identity
 	// candidate list the dense path scans — same indices, same order, same
 	// arithmetic as the historic exhaustive loop.
-	pol := newScalePolicy(md)
+	pol := newScalePolicy(p.Model)
 	allJ := make([]int, len(specs))
 	for j := range allJ {
 		allJ[j] = j
-	}
-	canCool := func(j int) bool {
-		c := specs[j]
-		return c.High.Voltage > c.Low.Voltage && c.RH > 0
-	}
-	canRaise := func(j int) bool {
-		c := specs[j]
-		return c.High.Voltage > c.Low.Voltage && c.RH < 1
 	}
 
 	// Chip-wide oscillation bound M = min_i M_i (§V).
@@ -406,15 +411,6 @@ func optimizeSpecs(p Problem, eng *sim.Engine, specs []coreSpec, forceM int) (*a
 		m = forceM
 	}
 
-	// Per-worker arena scratch for the incremental evaluation path; the
-	// classic reference path (Problem.ClassicEval) allocates per
-	// evaluation instead, exactly as the pre-arena code did.
-	var wa *workerArenas
-	if !p.ClassicEval {
-		wa = newWorkerArenas(eng, workers, len(specs))
-		defer wa.release()
-	}
-
 	// Phase 2: scan m ∈ [1, M] for the peak-minimizing oscillation count
 	// (with overhead, the peak is no longer monotone in m). Candidates fan
 	// out across the worker pool; the reduction keeps the smallest m with
@@ -423,7 +419,7 @@ func optimizeSpecs(p Problem, eng *sim.Engine, specs []coreSpec, forceM int) (*a
 	if forceM > 0 {
 		startM = forceM
 	}
-	ms, err := searchM(p, eng, specs, startM, m, wa)
+	ms, err := ev.searchM(specs, startM, m)
 	if err != nil {
 		return nil, err
 	}
@@ -436,52 +432,18 @@ func optimizeSpecs(p Problem, eng *sim.Engine, specs []coreSpec, forceM int) (*a
 	cache := ms.cache
 	tUnit := p.TUnitFrac * tc
 	dr := tUnit / tc // ratio change per adjustment quantum
+	canCool := func(j int) bool { return canStep(specs[j], -dr) }
+	canRaise := func(j int) bool { return canStep(specs[j], dr) }
 
-	st := &aoState{specs: specs, m: ms.m, tc: tc, eng: eng, cache: cache,
+	st := &aoState{specs: specs, m: ms.m, tc: tc, cache: cache,
 		evals: ms.evals, mEvaluated: ms.evaluated}
 	if ms.truncated {
 		st.degrade(DegradedMSearch)
 	}
-	var cycleEvals atomic.Int64
-	// evalTempsInto writes the stable end-of-cycle core temperature rises
-	// of sp into dst — by Theorem 1 their maximum is the schedule's peak
-	// temperature. w selects the calling worker's private arena scratch
-	// (ignored by the classic path); both paths produce bit-identical
-	// temperatures. Safe for concurrent trials: arenas are per-worker, the
-	// engine's caches synchronize internally, and the eval count is atomic.
-	evalTempsInto := func(w int, dst []float64, sp []coreSpec) error {
-		if p.ClassicEval {
-			cyc, err := buildCycle(tc, sp, p.Overhead, cycleThermal)
-			if err != nil {
-				return err
-			}
-			cycleEvals.Add(1)
-			stable, err := sim.NewStableCached(md, cyc, cache)
-			if err != nil {
-				return err
-			}
-			copy(dst, stable.End(stable.NumIntervals() - 1)[:len(dst)])
-			return nil
-		}
-		a := wa.arenas[w]
-		thermalTwoModeSpecs(wa.tms[w], sp, p.Overhead, tc)
-		if err := a.SetTwoMode(tc, wa.tms[w]); err != nil {
-			return err
-		}
-		cycleEvals.Add(1)
-		return a.StableEndTempsInto(dst, cache)
-	}
-	// trialSpecs substitutes core j's ratio through worker w's spec buffer
-	// (or a fresh copy on the classic path).
-	trialSpecs := func(w int, sp []coreSpec, j int, rh float64) []coreSpec {
-		if p.ClassicEval {
-			return withRH(sp, j, rh)
-		}
-		return wa.withRHInto(w, sp, j, rh)
-	}
-
+	// The stable end-of-cycle core temperature rises: by Theorem 1 their
+	// maximum is the schedule's peak temperature.
 	temps := make([]float64, len(specs))
-	if err := evalTempsInto(0, temps, specs); err != nil {
+	if err := ev.endTemps(0, temps, specs, tc, cache); err != nil {
 		return nil, err
 	}
 	peak, hot := mat.VecMax(temps)
@@ -493,6 +455,13 @@ func optimizeSpecs(p Problem, eng *sim.Engine, specs []coreSpec, forceM int) (*a
 	trialBuf := make([][]float64, len(specs))
 	for j := range trialBuf {
 		trialBuf[j] = make([]float64, len(specs))
+	}
+	// endTrial scores one TPT or refill trial; a failed evaluation leaves
+	// trialTemps[j] nil, skipped like the sequential continue-on-error.
+	endTrial := func(w, j int, trial []coreSpec) {
+		if ev.endTemps(w, trialBuf[j], trial, tc, cache) == nil {
+			trialTemps[j] = trialBuf[j]
+		}
 	}
 	for iter := 0; peak > tmax+feasTol && iter < maxIter; iter++ {
 		if err := p.ctxErr(); err != nil {
@@ -512,21 +481,8 @@ func optimizeSpecs(p Problem, eng *sim.Engine, specs []coreSpec, forceM int) (*a
 		if pol != nil {
 			cand = pol.coolers(hot, specs, canCool)
 		}
-		for j := range trialTemps {
-			trialTemps[j] = nil
-		}
-		parForW(workers, len(cand), func(w, k int) {
-			j := cand[k]
-			c := specs[j]
-			if c.High.Voltage <= c.Low.Voltage || c.RH <= 0 {
-				return
-			}
-			tsp := trialSpecs(w, specs, j, math.Max(0, c.RH-dr))
-			if err := evalTempsInto(w, trialBuf[j], tsp); err != nil {
-				return // skipped, like the sequential continue-on-error
-			}
-			trialTemps[j] = trialBuf[j]
-		})
+		clear(trialTemps)
+		trialScan(ev, workers, specs, cand, -dr, endTrial)
 		bestJ, bestTPT := -1, math.Inf(-1)
 		var bestTemps []float64
 		for _, j := range cand {
@@ -544,7 +500,7 @@ func optimizeSpecs(p Problem, eng *sim.Engine, specs []coreSpec, forceM int) (*a
 		if bestJ == -1 {
 			break // nothing left to slow down
 		}
-		specs[bestJ].RH = math.Max(0, specs[bestJ].RH-dr)
+		specs[bestJ].RH = steppedRH(specs[bestJ], -dr)
 		copy(temps, bestTemps) // trial rows are reused next iteration
 		peak, hot = mat.VecMax(temps)
 	}
@@ -574,21 +530,8 @@ func optimizeSpecs(p Problem, eng *sim.Engine, specs []coreSpec, forceM int) (*a
 		if pol != nil {
 			cand = pol.refillers(hot, specs, canRaise)
 		}
-		for j := range trialTemps {
-			trialTemps[j] = nil
-		}
-		parForW(workers, len(cand), func(w, k int) {
-			j := cand[k]
-			c := specs[j]
-			if c.High.Voltage <= c.Low.Voltage || c.RH >= 1 {
-				return
-			}
-			tsp := trialSpecs(w, specs, j, math.Min(1, c.RH+dr))
-			if err := evalTempsInto(w, trialBuf[j], tsp); err != nil {
-				return
-			}
-			trialTemps[j] = trialBuf[j]
-		})
+		clear(trialTemps)
+		trialScan(ev, workers, specs, cand, dr, endTrial)
 		bestJ, bestScore := -1, 0.0
 		var bestTemps []float64
 		for _, j := range cand {
@@ -600,7 +543,7 @@ func optimizeSpecs(p Problem, eng *sim.Engine, specs []coreSpec, forceM int) (*a
 			if trialPeak > tmax-refillGuard+feasTol {
 				continue
 			}
-			gain := (c.High.Voltage - c.Low.Voltage) * (math.Min(1, c.RH+dr) - c.RH)
+			gain := (c.High.Voltage - c.Low.Voltage) * (steppedRH(c, dr) - c.RH)
 			score := gain / math.Max(trialPeak-peak, 1e-9)
 			if score > bestScore {
 				bestJ, bestScore = j, score
@@ -610,7 +553,7 @@ func optimizeSpecs(p Problem, eng *sim.Engine, specs []coreSpec, forceM int) (*a
 		if bestJ == -1 {
 			break
 		}
-		specs[bestJ].RH = math.Min(1, specs[bestJ].RH+dr)
+		specs[bestJ].RH = steppedRH(specs[bestJ], dr)
 		copy(temps, bestTemps)
 		peak, hot = mat.VecMax(temps)
 	}
@@ -621,33 +564,16 @@ func optimizeSpecs(p Problem, eng *sim.Engine, specs []coreSpec, forceM int) (*a
 	// just after the cycle wrap (see sim.Stable.PeakEndOfPeriod). If the
 	// densely-verified peak still violates the budget, keep adjusting
 	// under the dense metric.
-	densePeakOf := func(w int, sp []coreSpec) (float64, error) {
-		if p.ClassicEval {
-			cyc, err := buildCycle(tc, sp, p.Overhead, cycleThermal)
-			if err != nil {
-				return math.Inf(1), err
-			}
-			cycleEvals.Add(1)
-			stable, err := sim.NewStableCached(md, cyc, cache)
-			if err != nil {
-				return math.Inf(1), err
-			}
-			dp, _, _ := stable.PeakDense(p.PeakSamples)
-			return dp, nil
-		}
-		a := wa.arenas[w]
-		thermalTwoModeSpecs(wa.tms[w], sp, p.Overhead, tc)
-		if err := a.SetTwoMode(tc, wa.tms[w]); err != nil {
-			return math.Inf(1), err
-		}
-		cycleEvals.Add(1)
-		return a.StableDensePeak(cache, p.PeakSamples)
-	}
-	dense, err := densePeakOf(0, specs)
+	dense, err := ev.densePeak(0, specs, nil, tc, cache)
 	if err != nil {
 		return nil, err
 	}
 	densePeaks := make([]float64, len(specs))
+	denseTrial := func(w, j int, trial []coreSpec) {
+		if dp, err := ev.densePeak(w, trial, nil, tc, cache); err == nil {
+			densePeaks[j] = dp
+		}
+	}
 	for iter := 0; dense > tmax+feasTol && iter < maxIter; iter++ {
 		if err := p.ctxErr(); err != nil {
 			st.degrade(DegradedDense)
@@ -660,18 +586,7 @@ func optimizeSpecs(p Problem, eng *sim.Engine, specs []coreSpec, forceM int) (*a
 		for j := range densePeaks {
 			densePeaks[j] = math.Inf(1)
 		}
-		parForW(workers, len(cand), func(w, k int) {
-			j := cand[k]
-			c := specs[j]
-			if c.High.Voltage <= c.Low.Voltage || c.RH <= 0 {
-				return
-			}
-			dp, err := densePeakOf(w, trialSpecs(w, specs, j, math.Max(0, c.RH-dr)))
-			if err != nil {
-				return
-			}
-			densePeaks[j] = dp
-		})
+		trialScan(ev, workers, specs, cand, -dr, denseTrial)
 		bestJ, bestPeak := -1, math.Inf(1)
 		for _, j := range cand {
 			if dp := densePeaks[j]; dp < bestPeak {
@@ -681,14 +596,38 @@ func optimizeSpecs(p Problem, eng *sim.Engine, specs []coreSpec, forceM int) (*a
 		if bestJ == -1 {
 			break
 		}
-		specs[bestJ].RH = math.Max(0, specs[bestJ].RH-dr)
+		specs[bestJ].RH = steppedRH(specs[bestJ], -dr)
 		dense = bestPeak
 	}
-	peak = dense
 
 	st.specs = specs
-	st.peak = peak
+	st.peak = dense
 	st.hot = hot
-	st.evals += cycleEvals.Load()
+	st.evals += ev.count() - evals0
 	return st, nil
+}
+
+// trialScan runs one trial per candidate core across the worker pool:
+// eval(w, j, trial) gets the specs with core j's high ratio moved by step
+// (−dr cools, +dr raises) in worker w's scratch. Cores that cannot move
+// that way are skipped.
+func trialScan(ev evaluator, workers int, specs []coreSpec, cand []int, step float64, eval func(w, j int, trial []coreSpec)) {
+	parForW(workers, len(cand), func(w, k int) {
+		j := cand[k]
+		if canStep(specs[j], step) {
+			eval(w, j, ev.withRH(w, specs, j, steppedRH(specs[j], step)))
+		}
+	})
+}
+
+// canStep reports whether c's high ratio can move by step: the core has
+// two distinct modes and the ratio is not yet at the bound step moves
+// toward.
+func canStep(c coreSpec, step float64) bool {
+	return c.High.Voltage > c.Low.Voltage && (step < 0 && c.RH > 0 || step > 0 && c.RH < 1)
+}
+
+// steppedRH is c's high ratio moved by step and clamped to [0, 1].
+func steppedRH(c coreSpec, step float64) float64 {
+	return math.Min(1, math.Max(0, c.RH+step))
 }

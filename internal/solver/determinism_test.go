@@ -1,8 +1,15 @@
 package solver
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
+
+	"thermosc/internal/floorplan"
+	"thermosc/internal/power"
+	"thermosc/internal/thermal"
 )
 
 // The schedulers must be bit-for-bit deterministic: identical problems
@@ -119,6 +126,98 @@ func TestAOScheduleDeterminism(t *testing.T) {
 			if sa[q] != sb[q] {
 				t.Fatalf("core %d segment %d differs: %v vs %v", i, q, sa[q], sb[q])
 			}
+		}
+	}
+}
+
+// aopcoGrid visits the pinned AO/PCO grid at one worker width: meshes
+// 2x1, 3x1, 3x2 and 3x3 × 2–3 paper levels × Tmax 55/60/65/70 °C × AO/PCO
+// × the arena and classic evaluators, then AO on the generated mesh-8x8
+// (sparse backend, scale policy active) at 60 and 70 °C.
+func aopcoGrid(t *testing.T, workers int, visit func(*Result)) {
+	t.Helper()
+	solve := func(f func(Problem) (*Result, error), p Problem) {
+		t.Helper()
+		p.Workers = workers
+		res, err := f(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		visit(res)
+	}
+	for _, mesh := range [][2]int{{2, 1}, {3, 1}, {3, 2}, {3, 3}} {
+		for levels := 2; levels <= 3; levels++ {
+			for _, tmax := range []float64{55, 60, 65, 70} {
+				p := problem(t, mesh[0], mesh[1], levels, tmax)
+				for _, f := range []func(Problem) (*Result, error){AO, PCO} {
+					for _, classic := range []bool{false, true} {
+						p.ClassicEval = classic
+						solve(f, p)
+					}
+				}
+			}
+		}
+	}
+	md, err := thermal.BuildGen(floorplan.Mesh(8, 8), power.DefaultModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !md.SparsePath() {
+		t.Fatal("mesh-8x8 is not on the sparse backend")
+	}
+	ls, err := power.PaperLevels(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tmax := range []float64{60, 70} {
+		solve(AO, Problem{Model: md, Levels: ls, TmaxC: tmax, Overhead: power.DefaultOverhead()})
+	}
+}
+
+// The digest and total Evals (at one worker) of aopcoGrid, pinned before
+// the evaluator was chosen once per solve: a sha256 over each result's
+// per-core segments, the bits of its throughput and peak, its m, its
+// feasibility and its degraded reason, in grid order.
+const (
+	aopcoGridDigest = "59704bb3f78ba1fd93fefee6f6ed8e4dc7b347bd0c2a71872695dd8828de3611"
+	aopcoGridEvals  = 435024
+)
+
+// AO and PCO must return the pinned plans on both evaluators and at every
+// worker width, and one worker must spend exactly the pinned evaluations.
+func TestAOPCOReproducesPinnedDigest(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		h := sha256.New()
+		var evals int64
+		var bits [8]byte
+		put := func(v uint64) {
+			binary.LittleEndian.PutUint64(bits[:], v)
+			h.Write(bits[:])
+		}
+		aopcoGrid(t, workers, func(res *Result) {
+			for i := 0; i < res.Schedule.NumCores(); i++ {
+				for _, seg := range res.Schedule.CoreSegments(i) {
+					put(math.Float64bits(seg.Length))
+					put(math.Float64bits(seg.Mode.Voltage))
+					put(math.Float64bits(seg.Mode.Freq))
+				}
+			}
+			put(math.Float64bits(res.Throughput))
+			put(math.Float64bits(res.PeakRise))
+			put(uint64(res.M))
+			if res.Feasible {
+				h.Write([]byte{1})
+			} else {
+				h.Write([]byte{0})
+			}
+			h.Write([]byte(res.Degraded))
+			evals += res.Evals
+		})
+		if got := hex.EncodeToString(h.Sum(nil)); got != aopcoGridDigest {
+			t.Fatalf("workers=%d: digest %s, want %s", workers, got, aopcoGridDigest)
+		}
+		if workers == 1 && evals != aopcoGridEvals {
+			t.Fatalf("workers=1: %d evals, want %d", evals, aopcoGridEvals)
 		}
 	}
 }

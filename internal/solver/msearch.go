@@ -10,15 +10,15 @@ import (
 )
 
 // This file is the parallel half of the AO/PCO evaluation engine: a
-// deterministic worker pool (parFor/parForW), the per-worker arena scratch
-// (workerArenas), and the fanned-out m-search (searchM). The contract
+// deterministic worker pool (parForW), the two evaluators a solve chooses
+// between (evaluator), and the fanned-out m-searches. The contract
 // mirrors EXS (exs.go): any worker count — including 1, the sequential
 // reference path — produces bit-identical results. That holds because
 // every candidate (an oscillation count m, a TPT/refill trial index j, a
-// PCO phase offset k) is evaluated independently with arithmetic untouched
-// by scheduling, and the winner is reduced by scanning candidates in their
-// sequential order with the sequential comparison operators. Worker
-// indices select private scratch arenas, never values.
+// PCO phase offset k) is evaluated independently with arithmetic
+// untouched by scheduling, and the winner is reduced by scanning
+// candidates in their sequential order with the sequential comparison
+// operators. Worker indices select private scratch arenas, never values.
 
 // parForW runs f(worker, i) for every i in [0, n) across at most `workers`
 // goroutines, passing each goroutine's stable pool index so it can own
@@ -56,58 +56,190 @@ func parForW(workers, n int, f func(worker, i int)) {
 	wg.Wait()
 }
 
-// parFor is parForW without the worker index, for scans with no
-// per-worker scratch.
-func parFor(workers, n int, f func(int)) {
-	parForW(workers, n, func(_, i int) { f(i) })
+// evaluator is the evaluation strategy of one AO/PCO solve, chosen once
+// by newEvaluator: arenaEval, the default, evaluates through per-worker
+// sim.EvalArena scratch; classicEval (Problem.ClassicEval) builds and
+// solves a Schedule per evaluation, the allocating pre-arena reference.
+// Both yield bit-identical temperatures, peaks and plans; they differ
+// only in the m-search's Evals/MEvaluated accounting and in speed. w
+// selects the calling worker's scratch (classicEval ignores it), so
+// calls with distinct w may run concurrently: the engine's caches
+// synchronize internally and the evaluation count is atomic.
+type evaluator interface {
+	// searchM scans m ∈ [startM, maxM] for the peak-minimizing
+	// oscillation count (Algorithm 2 phase 2).
+	searchM(specs []coreSpec, startM, maxM int) (mSearch, error)
+	// endTemps writes the stable end-of-cycle core temperature rises of
+	// the aligned thermal-view cycle of length tc into dst; by Theorem 1
+	// their maximum is the cycle's peak.
+	endTemps(w int, dst []float64, specs []coreSpec, tc float64, cache *sim.PeriodCache) error
+	// densePeak is the densely sampled stable peak of the thermal-view
+	// cycle: aligned when offs is nil, else with core i's phase shifted
+	// by offs[i].
+	densePeak(w int, specs []coreSpec, offs []float64, tc float64, cache *sim.PeriodCache) (float64, error)
+	// withRH returns specs with core j's high-mode ratio replaced by rh:
+	// in worker w's trial buffer, valid until w's next trial (arenaEval),
+	// or in a fresh copy (classicEval).
+	withRH(w int, specs []coreSpec, j int, rh float64) []coreSpec
+	// count is the number of endTemps/densePeak evaluations so far.
+	count() int64
+	// release returns the scratch to the engine; the evaluator is dead
+	// afterwards.
+	release()
 }
 
-// workerArenas owns the per-worker evaluation scratch of one solver run:
-// an EvalArena plus reusable two-mode-spec and trial-spec buffers per
-// worker slot. Acquired from the engine pool up front and released (with
-// NaN poisoning, see sim.EvalArena) when the run ends.
-type workerArenas struct {
-	eng    *sim.Engine
-	arenas []*sim.EvalArena
-	tms    [][]schedule.TwoModeSpec
-	trial  [][]coreSpec
-	ends   [][]float64 // per-worker end-temperature buffers (sparse screening)
-}
-
-func newWorkerArenas(eng *sim.Engine, workers, cores int) *workerArenas {
-	wa := &workerArenas{
+// newEvaluator builds the evaluator of one solve on eng for platforms
+// with the given core count.
+func newEvaluator(p Problem, eng *sim.Engine, cores int) evaluator {
+	if p.ClassicEval {
+		return &classicEval{p: p, eng: eng}
+	}
+	workers := p.workers()
+	e := &arenaEval{
+		p:      p,
 		eng:    eng,
 		arenas: make([]*sim.EvalArena, workers),
 		tms:    make([][]schedule.TwoModeSpec, workers),
 		trial:  make([][]coreSpec, workers),
 		ends:   make([][]float64, workers),
 	}
-	for w := 0; w < workers; w++ {
-		wa.arenas[w] = eng.AcquireArena()
-		wa.tms[w] = make([]schedule.TwoModeSpec, cores)
-		wa.trial[w] = make([]coreSpec, cores)
-		wa.ends[w] = make([]float64, cores)
+	for w := range e.arenas {
+		e.arenas[w] = eng.AcquireArena()
+		e.tms[w] = make([]schedule.TwoModeSpec, cores)
+		e.trial[w] = make([]coreSpec, cores)
+		e.ends[w] = make([]float64, cores)
 	}
-	return wa
+	return e
 }
 
-func (wa *workerArenas) release() {
-	for _, a := range wa.arenas {
-		wa.eng.ReleaseArena(a)
-	}
-	wa.arenas = nil
+// evalCount is the atomic evaluation tally both evaluators keep.
+type evalCount struct{ n atomic.Int64 }
+
+func (c *evalCount) count() int64 { return c.n.Load() }
+
+// arenaEval owns the per-worker scratch of one solve: an EvalArena plus
+// reusable two-mode-spec, trial-spec and end-temperature buffers per
+// worker slot, acquired up front and released (with NaN poisoning, see
+// sim.EvalArena) when the solve ends.
+type arenaEval struct {
+	evalCount
+	p      Problem
+	eng    *sim.Engine
+	arenas []*sim.EvalArena
+	tms    [][]schedule.TwoModeSpec
+	trial  [][]coreSpec
+	ends   [][]float64 // end temperatures of the sparse m-search
 }
 
-// withRHInto is withRH writing into worker w's trial buffer instead of
-// allocating. The buffer is only valid until the worker's next trial.
-func (wa *workerArenas) withRHInto(w int, specs []coreSpec, j int, rh float64) []coreSpec {
-	trial := wa.trial[w]
+func (e *arenaEval) searchM(specs []coreSpec, startM, maxM int) (mSearch, error) {
+	if e.eng.Model().SparsePath() {
+		// No eigenbasis, no composed screening: the sparse backend walks a
+		// geometric grid of exact evaluations instead (see scale.go).
+		return searchMSparse(e, specs, startM, maxM)
+	}
+	return searchMIncremental(e, specs, startM, maxM)
+}
+
+// setTwoMode loads the aligned thermal-view cycle into worker w's arena.
+func (e *arenaEval) setTwoMode(w int, specs []coreSpec, tc float64) (*sim.EvalArena, error) {
+	fillTwoModeSpecs(e.tms[w], specs, e.p.Overhead, tc, cycleThermal)
+	return e.arenas[w], e.arenas[w].SetTwoMode(tc, e.tms[w])
+}
+
+func (e *arenaEval) endTemps(w int, dst []float64, specs []coreSpec, tc float64, cache *sim.PeriodCache) error {
+	a, err := e.setTwoMode(w, specs, tc)
+	if err != nil {
+		return err
+	}
+	e.n.Add(1)
+	return a.StableEndTempsInto(dst, cache)
+}
+
+func (e *arenaEval) densePeak(w int, specs []coreSpec, offs []float64, tc float64, cache *sim.PeriodCache) (float64, error) {
+	a := e.arenas[w]
+	if offs == nil {
+		if _, err := e.setTwoMode(w, specs, tc); err != nil {
+			return math.Inf(1), err
+		}
+	} else {
+		cyc, err := shiftedCycle(tc, specs, offs, e.p.Overhead, cycleThermal)
+		if err == nil {
+			err = a.SetSchedule(cyc)
+		}
+		if err != nil {
+			return math.Inf(1), err
+		}
+	}
+	e.n.Add(1)
+	return a.StableDensePeak(cache, e.p.PeakSamples)
+}
+
+func (e *arenaEval) withRH(w int, specs []coreSpec, j int, rh float64) []coreSpec {
+	trial := e.trial[w]
 	copy(trial, specs)
 	trial[j].RH = rh
 	return trial
 }
 
-// mSearch is the outcome of one searchM scan.
+func (e *arenaEval) release() {
+	for _, a := range e.arenas {
+		e.eng.ReleaseArena(a)
+	}
+	e.arenas = nil
+}
+
+// classicEval is the reference evaluator: every evaluation builds its
+// thermal-view Schedule and solves it through sim.NewStableCached, and
+// the m-search is the full classic scan. It backs the differential tests
+// and is the fallback if the incremental m-search's quasi-convexity
+// assumption (Theorem 5) is ever in doubt for an exotic platform.
+type classicEval struct {
+	evalCount
+	p   Problem
+	eng *sim.Engine
+}
+
+func (e *classicEval) searchM(specs []coreSpec, startM, maxM int) (mSearch, error) {
+	return searchMClassic(e.p, e.eng, specs, startM, maxM)
+}
+
+// stable solves the thermal-view cycle, shifted by offs, classically.
+func (e *classicEval) stable(specs []coreSpec, offs []float64, tc float64, cache *sim.PeriodCache) (*sim.Stable, error) {
+	cyc, err := shiftedCycle(tc, specs, offs, e.p.Overhead, cycleThermal)
+	if err != nil {
+		return nil, err
+	}
+	e.n.Add(1)
+	return sim.NewStableCached(e.p.Model, cyc, cache)
+}
+
+func (e *classicEval) endTemps(_ int, dst []float64, specs []coreSpec, tc float64, cache *sim.PeriodCache) error {
+	stable, err := e.stable(specs, nil, tc, cache)
+	if err != nil {
+		return err
+	}
+	copy(dst, stable.End(stable.NumIntervals() - 1)[:len(dst)])
+	return nil
+}
+
+func (e *classicEval) densePeak(_ int, specs []coreSpec, offs []float64, tc float64, cache *sim.PeriodCache) (float64, error) {
+	stable, err := e.stable(specs, offs, tc, cache)
+	if err != nil {
+		return math.Inf(1), err
+	}
+	dp, _, _ := stable.PeakDense(e.p.PeakSamples)
+	return dp, nil
+}
+
+func (e *classicEval) withRH(_ int, specs []coreSpec, j int, rh float64) []coreSpec {
+	trial := append([]coreSpec(nil), specs...)
+	trial[j].RH = rh
+	return trial
+}
+
+func (e *classicEval) release() {}
+
+// mSearch is the outcome of one m-search scan.
 type mSearch struct {
 	m         int     // chosen oscillation count (0 if no candidate succeeded)
 	peak      float64 // classic Theorem-1 peak of the chosen m
@@ -115,6 +247,53 @@ type mSearch struct {
 	evals     int64 // successful evaluations (screens + classic confirmations)
 	evaluated int   // m candidates screened (== scan width unless early-stopped)
 	truncated bool  // the context deadline cut the scan short
+	err       error // the first real (non-deadline) candidate error
+}
+
+// mCandidate is one evaluated oscillation count.
+type mCandidate struct {
+	m     int
+	peak  float64
+	cache *sim.PeriodCache
+	err   error
+}
+
+// fold merges one candidate into the scan. A context abort truncates the
+// scan instead of failing it, the first real error is kept, and a
+// strictly lower peak wins — or an equal peak at a smaller m, so the
+// smallest m among equal minima wins even when candidates arrive out of
+// ascending order (the sparse refinement pass).
+func (out *mSearch) fold(c mCandidate) {
+	if c.err != nil {
+		if isCtxErr(c.err) {
+			out.truncated = true
+		} else if out.err == nil {
+			out.err = c.err
+		}
+		return
+	}
+	out.evals++
+	out.evaluated++
+	if c.peak < out.peak || (c.peak == out.peak && c.m < out.m) {
+		out.peak, out.m, out.cache = c.peak, c.m, c.cache
+	}
+}
+
+// done finishes a scan with its anytime semantics. A real error aborts
+// it, keeping the evaluation count (the pool really did run them) and
+// the error of the first failing candidate folded, the sequential loop's
+// first abort. A scan the deadline cut before any candidate won refuses
+// with an ErrDeadline. Otherwise the winner stands, also when the scan
+// was truncated — a valid (if possibly suboptimal) oscillation count the
+// caller tags Degraded.
+func (out mSearch) done(p Problem) (mSearch, error) {
+	if out.err != nil {
+		return mSearch{peak: math.Inf(1), evals: out.evals}, out.err
+	}
+	if out.m == 0 && out.truncated {
+		return out, deadlineErr(p.ctxErr())
+	}
+	return out, nil
 }
 
 // Tuning of the incremental m-search. The screening sweep walks candidates
@@ -136,110 +315,59 @@ const (
 	mConfirmBand = 1e-6
 )
 
-// searchM scans m ∈ [startM, maxM] for the peak-minimizing oscillation
-// count (Algorithm 2 phase 2). The default incremental path screens
+// searchMIncremental is the default dense-backend m-search. It screens
 // candidates with the composed eigenbasis evaluator (O(z·dim) each, no
 // per-candidate dense operators), early-terminates the sweep once the peak
 // is decidedly past Theorem 5's minimum, and classically confirms the
 // near-minimal band so the chosen (m, peak, cache) matches the full
-// classic scan bit for bit. Problem.ClassicEval forces that full classic
-// scan instead.
-//
-// Anytime semantics: a candidate aborted by the context deadline does not
-// fail the scan. If at least one screened candidate was classically
-// confirmed, the best of those is returned with truncated=true — a valid
-// (if possibly suboptimal) oscillation count the caller tags Degraded.
-// Only when the deadline left NO confirmed candidate does searchM return
-// an ErrDeadline. A genuine evaluation error aborts with the error of the
-// smallest failing m among the candidates actually visited.
-//
-// wa supplies per-worker scratch; pass nil to let searchM manage its own.
-func searchM(p Problem, eng *sim.Engine, specs []coreSpec, startM, maxM int, wa *workerArenas) (mSearch, error) {
-	if p.ClassicEval {
-		return searchMClassic(p, eng, specs, startM, maxM)
-	}
-	if wa == nil {
-		wa = newWorkerArenas(eng, p.workers(), len(specs))
-		defer wa.release()
-	}
-	if eng.Model().SparsePath() {
-		// No eigenbasis, no composed screening: the sparse backend walks a
-		// geometric grid of exact evaluations instead (see scale.go).
-		return searchMSparse(p, eng, specs, startM, maxM, wa)
-	}
-	return searchMIncremental(p, eng, specs, startM, maxM, wa)
-}
-
-func searchMIncremental(p Problem, eng *sim.Engine, specs []coreSpec, startM, maxM int, wa *workerArenas) (mSearch, error) {
-	tp := p.BasePeriod
+// classic scan bit for bit.
+func searchMIncremental(e *arenaEval, specs []coreSpec, startM, maxM int) (mSearch, error) {
+	p := e.p
 	n := maxM - startM + 1
 	if n <= 0 {
 		return mSearch{peak: math.Inf(1)}, nil
 	}
+	// Screens keep only peak and error (not an mCandidate's m and cache):
+	// the scan can span thousands of candidates.
 	type screenResult struct {
 		peak float64
 		err  error
 	}
 	cands := make([]screenResult, n)
-	workers := p.workers()
-
-	out := mSearch{peak: math.Inf(1)}
-	var firstErr error
-	bestComposed := math.Inf(1)
+	screen := mSearch{peak: math.Inf(1)} // fold of the composed peaks
 	rising := 0
 	screened := 0 // candidates attempted (scan prefix length)
 	for base := 0; base < n; base += mScreenChunk {
-		end := base + mScreenChunk
-		if end > n {
-			end = n
-		}
-		parForW(workers, end-base, func(w, k int) {
-			idx := base + k
-			if err := p.ctxErr(); err != nil {
-				cands[idx] = screenResult{err: err}
+		end := min(base+mScreenChunk, n)
+		parForW(p.workers(), end-base, func(w, k int) {
+			c := &cands[base+k]
+			if c.err = p.ctxErr(); c.err != nil {
 				return
 			}
-			tc := tp / float64(startM+idx)
-			a := wa.arenas[w]
-			tms := wa.tms[w]
-			thermalTwoModeSpecs(tms, specs, p.Overhead, tc)
-			if err := a.SetTwoMode(tc, tms); err != nil {
-				cands[idx] = screenResult{err: err}
-				return
+			a, err := e.setTwoMode(w, specs, p.BasePeriod/float64(startM+base+k))
+			if err == nil {
+				c.peak, err = a.ComposedEndPeak()
 			}
-			pk, err := a.ComposedEndPeak()
-			cands[idx] = screenResult{peak: pk, err: err}
+			c.err = err
 		})
 		// Sequential chunk reduction: counting, error precedence, and the
 		// early-stop decision all run in candidate order on one goroutine,
 		// so they are identical for every worker width.
 		for idx := base; idx < end; idx++ {
 			c := cands[idx]
-			if c.err != nil {
-				if isCtxErr(c.err) {
-					out.truncated = true
-					continue
-				}
-				if firstErr == nil {
-					firstErr = c.err
-				}
-				continue
-			}
-			out.evals++
-			out.evaluated++
+			best := screen.peak
+			screen.fold(mCandidate{m: startM + idx, peak: c.peak, err: c.err})
 			switch {
-			case c.peak < bestComposed:
-				bestComposed = c.peak
-				rising = 0
-			case c.peak > bestComposed+mStopMargin:
+			case c.err != nil:
+			case c.peak > best+mStopMargin:
 				rising++
 			default:
 				rising = 0
 			}
 		}
 		screened = end
-		if firstErr != nil {
-			return mSearch{peak: math.Inf(1), evals: out.evals}, firstErr
+		if screen.err != nil {
+			return screen.done(p)
 		}
 		if rising >= mStopWindow {
 			break
@@ -248,127 +376,66 @@ func searchMIncremental(p Problem, eng *sim.Engine, specs []coreSpec, startM, ma
 
 	// Classic confirmation of the near-minimal band: every screened
 	// candidate within mConfirmBand of the best composed peak is
-	// re-evaluated through the classic PeriodCache path, and the reduction
-	// keeps the smallest m with the strictly lowest classic peak — the
-	// full classic scan's winner and tie-break.
-	for idx := 0; idx < screened; idx++ {
-		c := cands[idx]
-		if c.err != nil || c.peak > bestComposed+mConfirmBand {
+	// re-evaluated classically, and the reduction keeps the smallest m
+	// with the strictly lowest classic peak — the full classic scan's
+	// winner and tie-break. A successful screen puts its minimum in the
+	// band, so no winner means the deadline beat the scan.
+	out := mSearch{peak: math.Inf(1), evals: screen.evals, evaluated: screen.evaluated, truncated: screen.truncated}
+	for idx, c := range cands[:screened] {
+		if c.err != nil || c.peak > screen.peak+mConfirmBand {
 			continue
 		}
-		if err := p.ctxErr(); err != nil {
+		cc := classicMPeak(p, e.eng, specs, startM+idx)
+		if isCtxErr(cc.err) {
 			out.truncated = true
 			break
 		}
-		mm := startM + idx
-		tc := tp / float64(mm)
-		cyc, err := buildCycle(tc, specs, p.Overhead, cycleThermal)
-		if err != nil {
-			return mSearch{peak: math.Inf(1), evals: out.evals}, err
-		}
-		cache, err := eng.PeriodCache(tc)
-		if err != nil {
-			return mSearch{peak: math.Inf(1), evals: out.evals}, err
-		}
-		peak, _, err := sim.StepUpPeak(eng.Model(), cyc, cache)
-		if err != nil {
-			return mSearch{peak: math.Inf(1), evals: out.evals}, err
+		if cc.err != nil {
+			return mSearch{peak: math.Inf(1), evals: out.evals}, cc.err
 		}
 		out.evals++
-		if peak < out.peak {
-			out.peak, out.m, out.cache = peak, mm, cache
+		if cc.peak < out.peak {
+			out.peak, out.m, out.cache = cc.peak, cc.m, cc.cache
 		}
 	}
-	if out.m == 0 {
-		// No candidate survived to a classic confirmation: the deadline
-		// beat the whole scan (screening errors abort above, and any
-		// successful screen puts its minimum in the band).
-		return mSearch{peak: math.Inf(1), evals: out.evals, truncated: true},
-			deadlineErr(p.ctxErr())
-	}
-	return out, nil
+	return out.done(p)
 }
 
-// searchMClassic is the reference full scan: every candidate builds its
-// thermal-view cycle, fetches the period operators from the shared engine
-// pool, and evaluates the Theorem-1 peak through the Schedule-based
-// stable solve. Kept behind Problem.ClassicEval for the differential
-// tests pinning the incremental path bit-identical to it.
+// classicMPeak evaluates oscillation count mm classically: the
+// thermal-view cycle at tc = t_p/mm, its period operators from the shared
+// engine pool, and the Schedule-based Theorem-1 stable peak.
+func classicMPeak(p Problem, eng *sim.Engine, specs []coreSpec, mm int) mCandidate {
+	if err := p.ctxErr(); err != nil {
+		return mCandidate{m: mm, err: err}
+	}
+	tc := p.BasePeriod / float64(mm)
+	cyc, err := buildCycle(tc, specs, p.Overhead, cycleThermal)
+	if err != nil {
+		return mCandidate{m: mm, err: err}
+	}
+	cache, err := eng.PeriodCache(tc)
+	if err != nil {
+		return mCandidate{m: mm, err: err}
+	}
+	peak, _, err := sim.StepUpPeak(eng.Model(), cyc, cache)
+	return mCandidate{m: mm, peak: peak, cache: cache, err: err}
+}
+
+// searchMClassic is the reference full scan: classicMPeak on every m in
+// [startM, maxM]. The fold visits every candidate before deciding, so
+// evals counts all successful evaluations even when an earlier m failed.
 func searchMClassic(p Problem, eng *sim.Engine, specs []coreSpec, startM, maxM int) (mSearch, error) {
-	tp := p.BasePeriod
 	n := maxM - startM + 1
 	if n <= 0 {
 		return mSearch{peak: math.Inf(1)}, nil
 	}
-	type mCandidate struct {
-		peak  float64
-		cache *sim.PeriodCache
-		err   error
-	}
 	cands := make([]mCandidate, n)
-	parFor(p.workers(), n, func(k int) {
-		if err := p.ctxErr(); err != nil {
-			cands[k] = mCandidate{err: err}
-			return
-		}
-		mm := startM + k
-		tc := tp / float64(mm)
-		cyc, err := buildCycle(tc, specs, p.Overhead, cycleThermal)
-		if err != nil {
-			cands[k] = mCandidate{err: err}
-			return
-		}
-		cache, err := eng.PeriodCache(tc)
-		if err != nil {
-			cands[k] = mCandidate{err: err}
-			return
-		}
-		peak, _, err := sim.StepUpPeak(eng.Model(), cyc, cache)
-		if err != nil {
-			cands[k] = mCandidate{err: err}
-			return
-		}
-		cands[k] = mCandidate{peak: peak, cache: cache}
+	parForW(p.workers(), n, func(_, k int) {
+		cands[k] = classicMPeak(p, eng, specs, startM+k)
 	})
-
-	// The reduction scans every candidate before deciding: evals must
-	// count all successful evaluations even when an earlier m failed
-	// (the pool really did run them), and the reported error is the
-	// smallest failing m's, matching the sequential loop's first abort.
-	// Context aborts are tallied separately — they truncate, not fail.
 	out := mSearch{peak: math.Inf(1)}
-	var firstErr error
-	for k, c := range cands {
-		if c.err != nil {
-			if isCtxErr(c.err) {
-				out.truncated = true
-				continue
-			}
-			if firstErr == nil {
-				firstErr = c.err
-			}
-			continue
-		}
-		out.evals++
-		out.evaluated++
-		if c.peak < out.peak {
-			out.peak, out.m, out.cache = c.peak, startM+k, c.cache
-		}
+	for _, c := range cands {
+		out.fold(c)
 	}
-	if firstErr != nil {
-		return mSearch{peak: math.Inf(1), evals: out.evals}, firstErr
-	}
-	if out.truncated && out.m == 0 {
-		return mSearch{peak: math.Inf(1), evals: out.evals, truncated: true},
-			deadlineErr(p.ctxErr())
-	}
-	return out, nil
-}
-
-// withRH returns a copy of specs with core j's high-mode ratio replaced.
-// The allocating form, for call sites without per-worker scratch.
-func withRH(specs []coreSpec, j int, rh float64) []coreSpec {
-	trial := append([]coreSpec(nil), specs...)
-	trial[j].RH = rh
-	return trial
+	return out.done(p)
 }

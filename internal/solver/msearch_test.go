@@ -45,7 +45,9 @@ func TestSearchMCountsEveryCandidate(t *testing.T) {
 		var refM int
 		for _, workers := range []int{1, 4} {
 			p.Workers = workers
-			ms, err := searchM(p, eng, specs, 1, maxM, nil)
+			ev := newEvaluator(p, eng, len(specs))
+			ms, err := ev.searchM(specs, 1, maxM)
+			ev.release()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +81,9 @@ func TestSearchMErrorKeepsCount(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p.Ctx = ctx
-	ms, err := searchM(p, eng, specs, 1, 5, nil)
+	ev := newEvaluator(p, eng, len(specs))
+	defer ev.release()
+	ms, err := ev.searchM(specs, 1, 5)
 	if err == nil {
 		t.Fatal("canceled search returned no error")
 	}
@@ -98,11 +102,13 @@ func TestSearchMErrorKeepsCount(t *testing.T) {
 }
 
 // The winning period cache is pooled by the engine: the plan built from
-// searchM keeps referencing it, so the pool must keep returning the very
+// the m-search keeps referencing it, so the pool must keep returning the very
 // same cache (never a rebuilt or invalidated one) for the winning period.
 func TestSearchMBestCacheStaysPooled(t *testing.T) {
 	p, eng, specs := msearchProblem(t)
-	ms, err := searchM(p, eng, specs, 1, 6, nil)
+	ev := newEvaluator(p, eng, len(specs))
+	defer ev.release()
+	ms, err := ev.searchM(specs, 1, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,9 @@ package solver
 
 import (
 	"math"
-	"sync/atomic"
 
 	"thermosc/internal/power"
 	"thermosc/internal/schedule"
-	"thermosc/internal/sim"
 )
 
 // PCO implements phase-conscious oscillation (§VI): it runs AO, then
@@ -30,64 +28,26 @@ func PCO(p Problem) (*Result, error) {
 		return nil, err
 	}
 	start := now()
-	st, err := runAO(p)
+	eng := p.engine()
+	ev := newEvaluator(p, eng, p.Model.NumCores())
+	defer ev.release()
+	st, err := runAO(p, eng, ev)
 	if err != nil {
 		return nil, err
 	}
-	md := p.Model
 	tmax := p.tmaxRise()
 	workers := p.workers()
 	n := len(st.specs)
 	offsets := make([]float64, n)
-	var denseEvals atomic.Int64
-
-	// Per-worker arena scratch for the incremental dense evaluations (the
-	// AO run released its own arenas back to the engine pool, so these are
-	// typically the same buffers, re-acquired).
-	var wa *workerArenas
-	if !p.ClassicEval {
-		wa = newWorkerArenas(st.eng, workers, n)
-		defer wa.release()
-	}
+	evals0 := ev.count()
 
 	// densePeak evaluates the stable-status peak of the specs with the
-	// given per-core phase offsets. w selects the calling worker's arena
-	// scratch (ignored by the classic path); both paths are bit-identical.
-	// Safe for concurrent candidates: arenas are per-worker and the engine
-	// caches synchronize internally.
-	densePeak := func(w int, specs []coreSpec, offs []float64) (float64, *schedule.Schedule, error) {
-		cyc, err := buildCycle(st.tc, specs, p.Overhead, cycleThermal)
-		if err != nil {
-			return math.Inf(1), nil, err
-		}
-		for i, off := range offs {
-			if off != 0 {
-				cyc = cyc.Shift(i, off)
-			}
-		}
-		if !p.ClassicEval {
-			denseEvals.Add(1)
-			a := wa.arenas[w]
-			if err := a.SetSchedule(cyc); err != nil {
-				return math.Inf(1), nil, err
-			}
-			pk, err := a.StableDensePeak(st.cache, p.PeakSamples)
-			if err != nil {
-				return math.Inf(1), nil, err
-			}
-			return pk, cyc, nil
-		}
-		stable, err := sim.NewStableCached(md, cyc, st.cache)
-		if err != nil {
-			return math.Inf(1), nil, err
-		}
-		denseEvals.Add(1)
-		peak, _, _ := stable.PeakDense(p.PeakSamples)
-		return peak, cyc, nil
+	// given per-core phase offsets. The aligned cycle is evaluated once up
+	// front, so an evaluation error refuses before the phase search.
+	densePeak := func(w int, specs []coreSpec, offs []float64) (float64, error) {
+		return ev.densePeak(w, specs, offs, st.tc, st.cache)
 	}
-
-	peak, cyc, err := densePeak(0, st.specs, offsets)
-	if err != nil {
+	if _, err := densePeak(0, st.specs, offsets); err != nil {
 		return nil, err
 	}
 
@@ -107,7 +67,7 @@ func PCO(p Problem) (*Result, error) {
 	// cores whose phase shift moves the most heat off the peak), and the
 	// refill below is iteration-bounded. nil on the dense backend — small
 	// platforms keep the historic exhaustive search bit for bit.
-	pol := newScalePolicy(md)
+	pol := newScalePolicy(p.Model)
 	var phaseMask []bool
 	if pol != nil {
 		phaseMask = pol.phaseCores(st.hot, st.specs)
@@ -129,10 +89,9 @@ func PCO(p Problem) (*Result, error) {
 			offs := offsW[w]
 			copy(offs, offsets)
 			offs[i] = float64(k) / float64(p.PCOPhaseSteps) * st.tc
-			pk, _, err := densePeak(w, st.specs, offs)
+			pk, err := densePeak(w, st.specs, offs)
 			if err != nil {
-				peaks[k] = math.Inf(1)
-				return
+				pk = math.Inf(1)
 			}
 			peaks[k] = pk
 		})
@@ -145,7 +104,7 @@ func PCO(p Problem) (*Result, error) {
 		}
 		offsets[i] = bestOff
 	}
-	peak, cyc, err = densePeak(0, st.specs, offsets)
+	peak, err := densePeak(0, st.specs, offsets)
 	if err != nil {
 		return nil, err
 	}
@@ -153,15 +112,17 @@ func PCO(p Problem) (*Result, error) {
 	// Headroom refill: raise the most valuable high-ratio while the peak
 	// stays under the threshold. Per-core trials are independent; the
 	// reduction keeps the sequential tie-break (highest gain, then lowest
-	// resulting peak, then the smallest core index).
+	// resulting peak, then the smallest core index). A trial that fails or
+	// breaks the threshold leaves its peak at +Inf.
 	dr := p.TUnitFrac
 	specs := append([]coreSpec(nil), st.specs...)
-	type refillTrial struct {
-		ok   bool
-		peak float64
-		cyc  *schedule.Schedule
+	trialPeaks := make([]float64, n)
+	refillTrial := func(w, j int, trial []coreSpec) {
+		if pk, err := densePeak(w, trial, offsets); err == nil && pk <= tmax+feasTol {
+			trialPeaks[j] = pk
+		}
 	}
-	trials := make([]refillTrial, n)
+	canRaise := func(j int) bool { return canStep(specs[j], dr) }
 	refillCap := 2000
 	if pol != nil {
 		// Each sparse refill iteration costs up to sparseTrialCap dense
@@ -179,64 +140,39 @@ func PCO(p Problem) (*Result, error) {
 		}
 		cand := allJ
 		if pol != nil {
-			cand = pol.refillers(st.hot, specs, func(j int) bool {
-				c := specs[j]
-				return c.High.Voltage > c.Low.Voltage && c.RH < 1
-			})
+			cand = pol.refillers(st.hot, specs, canRaise)
 		}
-		for j := range trials {
-			trials[j] = refillTrial{}
+		for j := range trialPeaks {
+			trialPeaks[j] = math.Inf(1)
 		}
-		parForW(workers, len(cand), func(w, k int) {
-			j := cand[k]
-			c := specs[j]
-			if c.High.Voltage <= c.Low.Voltage || c.RH >= 1 {
-				return
-			}
-			var tsp []coreSpec
-			if p.ClassicEval {
-				tsp = withRH(specs, j, math.Min(1, c.RH+dr))
-			} else {
-				tsp = wa.withRHInto(w, specs, j, math.Min(1, c.RH+dr))
-			}
-			pk, tc2, err := densePeak(w, tsp, offsets)
-			if err != nil || pk > tmax+feasTol {
-				return
-			}
-			trials[j] = refillTrial{ok: true, peak: pk, cyc: tc2}
-		})
+		trialScan(ev, workers, specs, cand, dr, refillTrial)
 		bestJ := -1
 		var bestGain, bestPeakAfter float64
-		var bestCyc *schedule.Schedule
 		for _, j := range cand {
 			c := specs[j]
-			if !trials[j].ok {
+			pk := trialPeaks[j]
+			if math.IsInf(pk, 1) {
 				continue
 			}
 			gain := (c.High.Voltage - c.Low.Voltage)
-			if bestJ == -1 || gain > bestGain || (gain == bestGain && trials[j].peak < bestPeakAfter) {
-				bestJ, bestGain, bestPeakAfter, bestCyc = j, gain, trials[j].peak, trials[j].cyc
+			if bestJ == -1 || gain > bestGain || (gain == bestGain && pk < bestPeakAfter) {
+				bestJ, bestGain, bestPeakAfter = j, gain, pk
 			}
 		}
 		if bestJ == -1 {
 			break
 		}
-		specs[bestJ].RH = math.Min(1, specs[bestJ].RH+dr)
-		peak, cyc = bestPeakAfter, bestCyc
+		specs[bestJ].RH = steppedRH(specs[bestJ], dr)
+		peak = bestPeakAfter
 	}
-	_ = cyc // the thermal view certified `peak`; emit the driver view below
 
-	emit, err := buildCycle(st.tc, specs, p.Overhead, cycleEmit)
+	// The thermal view certified `peak`; emit the driver view.
+	emit, err := shiftedCycle(st.tc, specs, offsets, p.Overhead, cycleEmit)
 	if err != nil {
 		return nil, err
 	}
-	for i, off := range offsets {
-		if off != 0 {
-			emit = emit.Shift(i, off)
-		}
-	}
 
-	st.evals += denseEvals.Load()
+	st.evals += ev.count() - evals0
 	return &Result{
 		Name:       "PCO",
 		Schedule:   emit,

@@ -69,16 +69,17 @@ type Problem struct {
 	// tight thresholds (e.g. the 9-core platform at Tmax = 50 °C in
 	// Fig. 7) feasible at all.
 	DisallowOff bool
-	// ClassicEval forces the reference evaluation strategy: a full
+	// ClassicEval selects the reference evaluator for the whole AO/PCO
+	// solve (it is read once, when the solve picks its evaluator): a full
 	// sequential-order m-scan with per-candidate schedule construction and
 	// per-evaluation allocation, exactly the pre-arena code path. The
-	// default (false) uses the incremental evaluator — composed eigenbasis
+	// default (false) uses the arena evaluator — composed eigenbasis
 	// screening of m candidates with quasi-convexity-aware early
 	// termination, plus pooled per-solve arenas for the phase-3 trial
-	// loops. Both paths return bit-identical plans (peak, throughput,
+	// loops and PCO. Both return bit-identical plans (peak, throughput,
 	// schedule segments, chosen m); they differ only in Evals/MEvaluated
 	// accounting and speed. The classic path backs the differential tests
-	// and is the fallback if the incremental evaluator's quasi-convexity
+	// and is the fallback if the incremental m-search's quasi-convexity
 	// assumption (Theorem 5) is ever in doubt for an exotic platform.
 	ClassicEval bool
 	// Ctx, when non-nil, cancels the long-running searches: the AO/PCO

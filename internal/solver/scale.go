@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"thermosc/internal/mat"
@@ -267,122 +268,58 @@ func sparseMGrid(startM, maxM int) []int {
 }
 
 // searchMSparse is the sparse-backend m-search: evaluate the geometric
-// grid exactly (every screen is a classic Theorem-1 stable evaluation —
-// there is no cheaper composed evaluator without an eigenbasis), pick the
+// grid exactly (every screen is a Theorem-1 stable evaluation — there is
+// no cheaper composed evaluator without an eigenbasis), pick the
 // quasi-convex minimum, then refine its immediate neighbors. Candidates
-// fan out across the worker pool; the reduction scans in ascending m, so
+// fan out across the worker pool; the fold visits them in ascending m, so
 // the outcome is identical for every worker width.
-func searchMSparse(p Problem, eng *sim.Engine, specs []coreSpec, startM, maxM int, wa *workerArenas) (mSearch, error) {
-	if maxM < startM {
-		return mSearch{peak: math.Inf(1)}, nil
-	}
-	tp := p.BasePeriod
-	type mCandidate struct {
-		m     int
-		peak  float64
-		cache *sim.PeriodCache
-		err   error
-	}
-	evalGrid := func(ms []int, cands []mCandidate) {
-		parForW(p.workers(), len(ms), func(w, k int) {
-			mm := ms[k]
-			cands[k].m = mm
-			if err := p.ctxErr(); err != nil {
-				cands[k].err = err
-				return
-			}
-			tc := tp / float64(mm)
-			cache, err := eng.PeriodCache(tc)
-			if err != nil {
-				cands[k].err = err
-				return
-			}
-			a := wa.arenas[w]
-			thermalTwoModeSpecs(wa.tms[w], specs, p.Overhead, tc)
-			if err := a.SetTwoMode(tc, wa.tms[w]); err != nil {
-				cands[k].err = err
-				return
-			}
-			if err := a.StableEndTempsInto(wa.ends[w], cache); err != nil {
-				cands[k].err = err
-				return
-			}
-			pk, _ := mat.VecMax(wa.ends[w])
-			cands[k].peak, cands[k].cache = pk, cache
-		})
-	}
-
-	grid := sparseMGrid(startM, maxM)
-	cands := make([]mCandidate, len(grid))
-	evalGrid(grid, cands)
-
+func searchMSparse(e *arenaEval, specs []coreSpec, startM, maxM int) (mSearch, error) {
 	out := mSearch{peak: math.Inf(1)}
-	var firstErr error
-	inGrid := make(map[int]bool, len(grid)+2)
-	// reduce folds candidates in ascending-m order: strict improvement
-	// keeps the smallest m among equal minima, the classic tie-break.
-	reduce := func(cands []mCandidate) {
+	eval := func(ms []int) {
+		cands := make([]mCandidate, len(ms))
+		parForW(e.p.workers(), len(ms), func(w, k int) {
+			cands[k] = e.stableMPeak(w, specs, ms[k])
+		})
 		for _, c := range cands {
-			inGrid[c.m] = true
-			if c.err != nil {
-				if isCtxErr(c.err) {
-					out.truncated = true
-					continue
-				}
-				if firstErr == nil {
-					firstErr = c.err
-				}
-				continue
-			}
-			out.evals++
-			out.evaluated++
-			if c.peak < out.peak {
-				out.peak, out.m, out.cache = c.peak, c.m, c.cache
-			}
+			out.fold(c)
 		}
 	}
-	reduce(cands)
-	if firstErr != nil {
-		return mSearch{peak: math.Inf(1), evals: out.evals}, firstErr
-	}
-	if out.m != 0 {
+	grid := sparseMGrid(startM, maxM)
+	eval(grid)
+	if out.err == nil && out.m != 0 {
 		// Local refinement around the grid minimum: the curve is smooth
 		// between grid points, so only the immediate neighbors can beat it.
+		// A smaller neighbor with an equal peak wins through fold's m
+		// tie-break.
 		var refine []int
 		for _, mm := range []int{out.m - 1, out.m + 1} {
-			if mm >= startM && mm <= maxM && !inGrid[mm] {
+			if mm >= startM && mm <= maxM && !slices.Contains(grid, mm) {
 				refine = append(refine, mm)
 			}
 		}
-		if len(refine) > 0 {
-			rc := make([]mCandidate, len(refine))
-			evalGrid(refine, rc)
-			// A smaller neighbor with an equal peak must win (ascending-m
-			// semantics); fold in ascending order of m across both sets.
-			sort.Slice(rc, func(a, b int) bool { return rc[a].m < rc[b].m })
-			for _, c := range rc {
-				if c.err != nil {
-					if isCtxErr(c.err) {
-						out.truncated = true
-					} else if firstErr == nil {
-						firstErr = c.err
-					}
-					continue
-				}
-				out.evals++
-				out.evaluated++
-				if c.peak < out.peak || (c.peak == out.peak && c.m < out.m) {
-					out.peak, out.m, out.cache = c.peak, c.m, c.cache
-				}
-			}
-			if firstErr != nil {
-				return mSearch{peak: math.Inf(1), evals: out.evals}, firstErr
-			}
-		}
+		eval(refine)
 	}
-	if out.m == 0 {
-		return mSearch{peak: math.Inf(1), evals: out.evals, truncated: true},
-			deadlineErr(p.ctxErr())
+	return out.done(e.p)
+}
+
+// stableMPeak evaluates oscillation count mm exactly through worker w's
+// arena: the Theorem-1 peak of the thermal-view cycle at tc = t_p/mm.
+func (e *arenaEval) stableMPeak(w int, specs []coreSpec, mm int) mCandidate {
+	if err := e.p.ctxErr(); err != nil {
+		return mCandidate{m: mm, err: err}
 	}
-	return out, nil
+	tc := e.p.BasePeriod / float64(mm)
+	cache, err := e.eng.PeriodCache(tc)
+	if err != nil {
+		return mCandidate{m: mm, err: err}
+	}
+	a, err := e.setTwoMode(w, specs, tc)
+	if err == nil {
+		err = a.StableEndTempsInto(e.ends[w], cache)
+	}
+	if err != nil {
+		return mCandidate{m: mm, err: err}
+	}
+	pk, _ := mat.VecMax(e.ends[w])
+	return mCandidate{m: mm, peak: pk, cache: cache}
 }

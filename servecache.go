@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 )
 
 // lruCache is a mutex-guarded LRU map from canonical keys to immutable
@@ -103,7 +102,6 @@ type cachedPlan struct {
 	bytes    []byte
 	degraded bool
 	reason   string
-	born     time.Time
 }
 
 // errFlightPanic is what joiners of a flight receive when the leader's

@@ -19,25 +19,26 @@ import (
 
 // This file is the fleet layer of the planning service: consistent-hash
 // routing of canonical request keys across replicas, a replicated plan
-// store layered UNDER the process-local LRU, a forwarding proxy so any
-// replica answers any key, gossip-driven anti-entropy between peers,
-// and the cluster status/sync/snapshot endpoints. See docs/CLUSTER.md.
+// store, a forwarding proxy so any replica answers any key,
+// gossip-driven anti-entropy between peers, and the cluster
+// status/sync/snapshot endpoints. See docs/CLUSTER.md.
 //
 // Serving layers for a /v1/maximize key, in order:
 //
-//  1. local LRU        — process-hot cache (source "local")
-//  2. replicated store — gossip/snapshot-fed (source "local" for owned
-//     keys, "peer" for entries that arrived from another replica)
-//  3. forwarding proxy — key owned elsewhere: proxy the request to the
+//  1. plan cache       — the replicated store for complete plans (source
+//     "local" for owned keys, "peer" for keys another replica owns), then
+//     the process LRU for degraded plans (source "local")
+//  2. forwarding proxy — key owned elsewhere: proxy the request to the
 //     owner (source "forwarded")
-//  4. local solve      — owned keys, and the re-route fallback when the
+//  3. local solve      — owned keys, and the re-route fallback when the
 //     owner is unreachable (source "local")
 //
-// Only COMPLETE plans enter the replicated store: a complete plan is a
-// deterministic function of its canonical key, so every replica stores
-// byte-identical plans and cross-replica identity is a hard invariant
-// the soak test asserts. Degraded plans are deadline-dependent and stay
-// in the local LRU of the process that produced them.
+// Every plan lives in exactly one cache. Only COMPLETE plans enter the
+// replicated store: a complete plan is a deterministic function of its
+// canonical key, so every replica stores byte-identical plans and
+// cross-replica identity is a hard invariant the soak test asserts.
+// Degraded plans are deadline-dependent and stay in the process LRU of
+// the replica that produced them.
 
 // clusterHopHeader marks a request already forwarded once; the receiver
 // must answer it itself (owner-solve), never re-forward — a two-node
@@ -596,38 +597,39 @@ func (s *Server) clusterServed(source string) {
 	}
 }
 
-// clusterStoreGet consults the replicated store (layer 2). The entry is
-// promoted into the local LRU so the next hit is layer 1.
-func (s *Server) clusterStoreGet(planKey string) (cachedPlan, string, bool) {
-	if s.cluster == nil {
-		return cachedPlan{}, "", false
+// lookupPlan finds planKey in the plan cache that can hold it (layer 1):
+// in cluster mode the replicated store first, then the process LRU;
+// single-process the LRU alone. A store hit for a key another replica
+// owns is labelled a peer fetch: its bytes arrived via gossip, a
+// snapshot restore, or a forward to the owner.
+func (s *Server) lookupPlan(planKey string) (cachedPlan, string, bool) {
+	if s.cluster != nil {
+		if ce, ok := s.cluster.store.Get(planKey); ok {
+			src := serveSourceLocal
+			if !s.cluster.owns(planKey) {
+				src = serveSourcePeer
+			}
+			return cachedPlan{bytes: ce.Plan}, src, true
+		}
 	}
-	ce, ok := s.cluster.store.Get(planKey)
-	if !ok {
-		return cachedPlan{}, "", false
-	}
-	ent := cachedPlan{bytes: ce.Plan, born: time.Unix(0, ce.BornUnixNano)}
-	s.plans.Put(planKey, ent)
-	src := serveSourceLocal
-	if !s.cluster.owns(planKey) {
-		// The entry can only have arrived via gossip or a snapshot
-		// restore — a peer fetch in effect.
-		src = serveSourcePeer
-	}
-	return ent, src, true
+	ent, ok := s.plans.Get(planKey)
+	return ent, serveSourceLocal, ok
 }
 
-// clusterStorePut replicates a freshly solved COMPLETE plan (no-op
-// single-process or for degraded plans; see the file comment). If the
-// key's ring owner is currently down, the write would otherwise reach
-// it only via eventual anti-entropy — so the key is queued as a hint
-// and replayed the moment the detector re-admits the owner.
-func (s *Server) clusterStorePut(planKey string, ent cachedPlan) {
-	if s.cluster == nil || ent.degraded {
+// storePlan keeps a plan in exactly one cache. Single-process, and for
+// degraded plans (which never enter the store; see the file comment),
+// that is the process LRU. In cluster mode a COMPLETE plan goes only to
+// the replicated store; if the key's ring owner is currently down, the
+// write would otherwise reach it only via eventual anti-entropy — so the
+// key is queued as a hint and replayed the moment the detector
+// re-admits the owner.
+func (s *Server) storePlan(planKey string, ent cachedPlan) {
+	c := s.cluster
+	if c == nil || ent.degraded {
+		s.plans.Put(planKey, ent)
 		return
 	}
-	c := s.cluster
-	c.store.Put(cluster.Entry{Key: planKey, Plan: ent.bytes, BornUnixNano: ent.born.UnixNano()})
+	c.store.Put(cluster.Entry{Key: planKey, Plan: ent.bytes})
 	if owner := c.owner(planKey); owner != c.cfg.Self && c.health.Down(owner) {
 		c.hints.Add(owner, planKey)
 	}
@@ -683,9 +685,7 @@ func (s *Server) forwardMaximize(w http.ResponseWriter, r *http.Request, body []
 		return false
 	}
 	if !mr.Degraded {
-		ent := cachedPlan{bytes: mr.Plan, born: time.Now()}
-		s.plans.Put(planKey, ent)
-		s.clusterStorePut(planKey, ent)
+		s.storePlan(planKey, cachedPlan{bytes: mr.Plan})
 	}
 	s.clusterServed(serveSourceForwarded)
 	*failed = false

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -310,10 +311,11 @@ func TestClusterForwardingAndServeSources(t *testing.T) {
 	if ownerStats.Cluster.ServedLocal != 1 {
 		t.Fatalf("owner served_local = %d, want 1", ownerStats.Cluster.ServedLocal)
 	}
-	// Replica 0 now holds the bytes (LRU + store): a repeat is a local
-	// cache hit, not another forward.
+	// Replica 0 now holds the bytes in its replicated store: a repeat is
+	// a store hit for a key replica 1 owns — a peer fetch, not another
+	// forward.
 	status, mr2 := postMaximize(t, tc.urls[0], body)
-	if status != http.StatusOK || !mr2.Cached || mr2.Source != "local" {
+	if status != http.StatusOK || !mr2.Cached || mr2.Source != "peer" {
 		t.Fatalf("repeat after forward: HTTP %d cached=%v source=%q", status, mr2.Cached, mr2.Source)
 	}
 	if !bytes.Equal(mr.Plan, mr2.Plan) {
@@ -341,6 +343,59 @@ func TestClusterForwardingAndServeSources(t *testing.T) {
 	}
 
 	sumInvariant(t, tc)
+}
+
+// In cluster mode every plan lives in exactly one cache: a complete plan
+// only in the replicated store, a degraded one only in the process LRU,
+// where it is served stale until a background refresh puts the complete
+// plan in the store.
+func TestClusterKeepsEachPlanInOneCache(t *testing.T) {
+	srv := NewServer(ServerConfig{Cluster: &ClusterConfig{Self: "http://self.invalid"}})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		_ = srv.Shutdown(context.Background())
+	})
+	cached := func() (lru, store int) {
+		st := srv.Stats()
+		return st.Cache.Size, st.Cluster.StoreSize
+	}
+
+	status, mr := postMaximize(t, ts.URL, maximizeBody("AO"))
+	if status != http.StatusOK || mr.Degraded {
+		t.Fatalf("complete solve: HTTP %d degraded=%v", status, mr.Degraded)
+	}
+	if lru, store := cached(); lru != 0 || store != 1 {
+		t.Fatalf("complete plan cached in LRU %d / store %d entries, want 0 / 1", lru, store)
+	}
+	status, hit := postMaximize(t, ts.URL, maximizeBody("AO"))
+	if status != http.StatusOK || !hit.Cached || hit.Stale || hit.Source != "local" || !bytes.Equal(hit.Plan, mr.Plan) {
+		t.Fatalf("repeat: HTTP %d cached=%v stale=%v source=%q", status, hit.Cached, hit.Stale, hit.Source)
+	}
+
+	// The 1 ms deadline truncates the solve, as in
+	// TestServeTimeoutCancelsSearch; three paper levels keep the complete
+	// refresh solve short (the default 15 levels take seconds).
+	body := `{"platform":{"rows":3,"cols":3,"paper_levels":3},"tmax_c":65,"method":"PCO","timeout_s":0.001}`
+	status, mr = postMaximize(t, ts.URL, body)
+	if status != http.StatusOK || !mr.Degraded {
+		t.Fatalf("deadline-truncated solve: HTTP %d degraded=%v", status, mr.Degraded)
+	}
+	if lru, store := cached(); lru != 1 || store != 1 {
+		t.Fatalf("degraded plan cached in LRU %d / store %d entries, want 1 / 1", lru, store)
+	}
+	status, hit = postMaximize(t, ts.URL, body)
+	if status != http.StatusOK || !hit.Cached || !hit.Stale || !hit.Degraded {
+		t.Fatalf("degraded hit: HTTP %d cached=%v stale=%v degraded=%v", status, hit.Cached, hit.Stale, hit.Degraded)
+	}
+	srv.waitRefreshes()
+	status, hit = postMaximize(t, ts.URL, body)
+	if status != http.StatusOK || !hit.Cached || hit.Stale || hit.Degraded {
+		t.Fatalf("hit after the refresh: HTTP %d cached=%v stale=%v degraded=%v", status, hit.Cached, hit.Stale, hit.Degraded)
+	}
+	if _, store := cached(); store != 2 {
+		t.Fatalf("refreshed plan: store %d entries, want 2", store)
+	}
 }
 
 // A hop-marked request must be answered by the receiver even when the

@@ -66,7 +66,9 @@ type Server struct {
 
 // ServerConfig tunes a Server; zero values select the defaults.
 type ServerConfig struct {
-	// PlanCacheSize caps the LRU plan cache (default 256 plans).
+	// PlanCacheSize caps the LRU plan cache (default 256 plans). In
+	// cluster mode complete plans live in the replicated store (see
+	// ClusterConfig.StoreCap), so the LRU holds only degraded plans.
 	PlanCacheSize int
 	// PlatformCacheSize caps the platform/engine cache (default 32).
 	PlatformCacheSize int
@@ -99,13 +101,6 @@ type ServerConfig struct {
 	// estimated wait for a slot exceeds its own deadline.
 	SolveConcurrency int
 	SolveQueue       int
-
-	// PlanTTL ages complete cached plans: a hit older than PlanTTL is
-	// served immediately with stale:true while a background refresh
-	// re-solves it (stale-while-revalidate). 0 (the default) means
-	// complete plans never go stale — they are bit-reproducible, so age
-	// cannot make them wrong. Degraded plans are ALWAYS stale.
-	PlanTTL time.Duration
 
 	// Circuit breaker over the async audit verdicts: when at least
 	// BreakerMinSamples of the last BreakerWindow verdicts exist and the
@@ -399,23 +394,15 @@ func (s *Server) handleMaximize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Layer 1: the process-local LRU.
-	if ent, ok := s.plans.Get(planKey); ok {
-		failed = false
-		s.serveCachedPlan(w, start, planKey, platKey, req, ent, serveSourceLocal)
-		return
-	}
-	// Layer 2: the replicated plan store (cluster mode). A hit for a key
-	// another replica owns means the bytes arrived via gossip or a
-	// snapshot restore — a peer fetch in effect.
-	if ent, src, ok := s.clusterStoreGet(planKey); ok {
+	// Layer 1: the plan cache that holds the key (see lookupPlan).
+	if ent, src, ok := s.lookupPlan(planKey); ok {
 		failed = false
 		s.serveCachedPlan(w, start, planKey, platKey, req, ent, src)
 		return
 	}
 	s.stats.cacheMiss()
 
-	// Layer 3: the forwarding proxy — keys owned by another replica are
+	// Layer 2: the forwarding proxy — keys owned by another replica are
 	// answered by their owner so the fleet solves each key once. The
 	// owner comes from the HEALTHY ring view: suspect/dead owners are
 	// skipped up front (their keys fall to the next healthy successor)
@@ -432,7 +419,7 @@ func (s *Server) handleMaximize(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Layer 4: solve locally.
+	// Layer 3: solve locally.
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutS))
 	defer cancel()
 	ent, shared, err := s.flights.Do(ctx, planKey, func() (cachedPlan, error) {
@@ -461,25 +448,25 @@ func (s *Server) handleMaximize(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// serveCachedPlan answers a maximize request from a cache layer (the
+// serveCachedPlan answers a maximize request from a plan cache (the
 // local LRU or the replicated store), running the shared
 // stale-while-revalidate and accounting machinery. The caller has
-// already cleared its failed flag.
+// already cleared its failed flag. A degraded hit is served stale while
+// a background refresh re-solves it: a complete solve may well succeed
+// now that the original deadline pressure is gone. Complete plans never
+// go stale — they are bit-reproducible, so age cannot make them wrong.
 func (s *Server) serveCachedPlan(w http.ResponseWriter, start time.Time, planKey, platKey string, req MaximizeRequest, ent cachedPlan, source string) {
-	stale := s.isStale(ent)
-	if stale {
-		s.stats.staleServed()
-		s.refreshAsync(planKey, platKey, req)
-	}
 	if ent.degraded {
+		s.stats.staleServed()
 		s.stats.degradedServed()
+		s.refreshAsync(planKey, platKey, req)
 	}
 	s.stats.cacheHit()
 	s.clusterServed(source)
 	writeJSON(w, http.StatusOK, MaximizeResponse{
 		Plan:           ent.bytes,
 		Cached:         true,
-		Stale:          stale,
+		Stale:          ent.degraded,
 		Degraded:       ent.degraded,
 		DegradedReason: ent.reason,
 		Key:            keyDigest(planKey),
@@ -533,9 +520,8 @@ func (s *Server) solvePlan(ctx context.Context, planKey, platKey string, req Max
 	if err != nil {
 		return cachedPlan{}, err
 	}
-	ent := cachedPlan{bytes: b, degraded: plan.Degraded, reason: plan.DegradedReason, born: time.Now()}
-	s.plans.Put(planKey, ent)
-	s.clusterStorePut(planKey, ent) // complete plans replicate fleet-wide
+	ent := cachedPlan{bytes: b, degraded: plan.Degraded, reason: plan.DegradedReason}
+	s.storePlan(planKey, ent)
 	// Only complete plans enter the audit sampling: degraded plans were
 	// already oracle-checked synchronously by the fallback chain.
 	if !plan.Degraded && s.cfg.AuditEvery > 0 && s.solves.Add(1)%uint64(s.cfg.AuditEvery) == 0 {
@@ -543,17 +529,6 @@ func (s *Server) solvePlan(ctx context.Context, planKey, platKey string, req Max
 		go s.runAudit(plat, plan, req.TmaxC)
 	}
 	return ent, nil
-}
-
-// isStale reports whether a cache hit should be served
-// stale-while-revalidate. Degraded plans are always stale (a complete
-// solve may well succeed now that the original deadline pressure is
-// gone); complete plans only age out when PlanTTL is set.
-func (s *Server) isStale(ent cachedPlan) bool {
-	if ent.degraded {
-		return true
-	}
-	return s.cfg.PlanTTL > 0 && time.Since(ent.born) > s.cfg.PlanTTL
 }
 
 // refreshAsync starts a background re-solve of a stale cache entry

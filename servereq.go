@@ -78,8 +78,8 @@ type MaximizeResponse struct {
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
 	// Stale reports a stale-while-revalidate hit: the cached plan is
-	// degraded (or past PlanTTL) and a background refresh is replacing
-	// it; this response still carries the old, verified bytes.
+	// degraded and a background refresh is replacing it; this response
+	// still carries the old, verified bytes.
 	Stale bool `json:"stale,omitempty"`
 	// Source reports which fleet layer answered: "local" (this replica's
 	// cache or solver), "peer" (replicated-store entry that arrived from

@@ -136,7 +136,8 @@ type ServerStats struct {
 //
 // (the sum invariant the regression tests pin). "local" is a local
 // cache hit or solve, "peer_fetch" a replicated-store hit for a key
-// another replica owns, "forwarded" a request proxied to its owner.
+// another replica owns (gossiped, restored, or once forwarded from
+// here), "forwarded" a request proxied to its owner.
 type ClusterStats struct {
 	Self            string   `json:"self"`
 	Nodes           []string `json:"nodes"`
