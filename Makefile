@@ -86,7 +86,8 @@ STORE_BACKENDS ?= mem file
 # Chaos storm against the planning daemon, race-enabled, once per plan
 # store backend: concurrent requests under tiny deadlines with seeded
 # random solver panics. Zero daemon crashes allowed; every 200 body must
-# pass the verification oracle. Each backend's final /v1/stats snapshot
+# pass the verification oracle; after Shutdown no flight, queued request
+# or solve slot may remain. Each backend's final /v1/stats snapshot
 # lands in serve_chaos_stats_<backend>.json.
 CHAOS_REQUESTS ?= 400
 serve-chaos:
@@ -114,14 +115,17 @@ cluster-soak:
 		$(GO) test -race -run TestClusterSoak -count=1 -v . || exit 1; \
 	done
 
-# Churn chaos battery, race-enabled, once per plan store backend: the
-# self-healing suite (failure detection, health-aware re-routing, hinted
-# handoff, drain) plus a seed-pinned kill/restart schedule and a rolling
-# restart of every node under live load. Exact accounting, no 5xx to
-# clients, bounded errors confined to kill windows, and post-heal
-# byte-identical convergence; each backend's phase-split load report and
-# per-peer health timeline land in cluster_churn_{report,timeline}_<b>.json.
+# Churn chaos battery, race-enabled, once per plan store backend: every
+# test in serve_cluster_churn_test.go — the self-healing suite (failure
+# detection, health-aware re-routing, re-admission sync, drain) plus a
+# seed-pinned kill/restart schedule and a rolling restart of every node
+# under live load. Exact accounting, no 5xx to clients, bounded errors
+# confined to kill windows, and post-heal byte-identical convergence;
+# each backend's phase-split load report and per-peer health timeline
+# land in cluster_churn_{report,timeline}_<b>.json. The test list is
+# read from the file, so a renamed or added test cannot drop out of it.
 CHURN_REQUESTS ?= 2000
+CHURN_TESTS := $(shell grep -o '^func Test[A-Za-z0-9_]*' serve_cluster_churn_test.go | cut -d' ' -f2 | paste -sd'|' -)
 cluster-churn:
 	@for b in $(STORE_BACKENDS); do \
 		echo "== cluster-churn [store=$$b] =="; \
@@ -129,7 +133,7 @@ cluster-churn:
 		THERMOSC_CHURN_REQUESTS=$(CHURN_REQUESTS) \
 		THERMOSC_CHURN_REPORT=$(CURDIR)/cluster_churn_report_$$b.json \
 		THERMOSC_CHURN_TIMELINE=$(CURDIR)/cluster_churn_timeline_$$b.json \
-		$(GO) test -race -run 'TestClusterChurnSoak|TestClusterRollingRestartUnderLoad|TestClusterDetectorReroutesAroundDeadPeer|TestClusterHintedHandoffReplay|TestClusterHintOverflowBounded|TestClusterDrainAndRejoin|TestClusterAsymmetricPartition|TestClusterFlappingPeer|TestClusterFleetStatusBoundedByHungPeers' -count=1 -v . || exit 1; \
+		$(GO) test -race -run '^($(CHURN_TESTS))$$' -count=1 -v . || exit 1; \
 	done
 
 # Closed-loop soak: 20 seed-pinned fault scenarios under the guarded AO

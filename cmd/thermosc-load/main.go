@@ -242,10 +242,10 @@ func (f *fleet) kill(i int) {
 }
 
 // restart brings replica i back on its original address with its
-// original config (an empty store — recovery runs through hinted
-// handoff and anti-entropy, which is the point of churn mode). The
-// survivors' pooled connections to the old incarnation are dropped so
-// the restarted replica is rediscovered cleanly.
+// original config (an empty store — recovery runs through the sync
+// round that re-admits it and through gossip, which is the point of
+// churn mode). The survivors' pooled connections to the old incarnation
+// are dropped so the restarted replica is rediscovered cleanly.
 func (f *fleet) restart(i int) error {
 	addr := strings.TrimPrefix(f.urls[i], "http://")
 	ln, err := net.Listen("tcp", addr)

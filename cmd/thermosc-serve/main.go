@@ -60,12 +60,11 @@ func main() {
 		warmRestore  = flag.String("warm-restore", "", "snapshot file to load into the plan store at startup")
 		warmExport   = flag.String("warm-export", "", "snapshot file to write from the plan store on shutdown")
 
-		// Self-healing flags (failure detector + hinted handoff).
+		// Self-healing flags (failure detector).
 		probeInterval = flag.Duration("probe-interval", time.Second, "peer /healthz probe period for the failure detector (0 disables dedicated probes; gossip still feeds the detector)")
 		suspectAfter  = flag.Int("suspect-after", 0, "consecutive failed contacts that mark a peer suspect (0 = default 2)")
 		deadAfter     = flag.Int("dead-after", 0, "consecutive failed contacts that mark a peer dead (0 = default 4)")
 		recoverAfter  = flag.Int("recover-after", 0, "consecutive successes a dead peer needs to rejoin (0 = default 2)")
-		hintCap       = flag.Int("hint-cap", 0, "per-peer hinted-handoff queue bound in keys (0 = default 1024)")
 	)
 	flag.Parse()
 
@@ -94,7 +93,6 @@ func main() {
 			SuspectAfter:  *suspectAfter,
 			DeadAfter:     *deadAfter,
 			RecoverAfter:  *recoverAfter,
-			HintCap:       *hintCap,
 		}
 	} else if *warmRestore != "" || *warmExport != "" {
 		log.Fatalf("thermosc-serve: -warm-restore/-warm-export need clustering (-peers or -self)")

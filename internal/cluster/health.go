@@ -24,8 +24,8 @@ import (
 //
 // Suspect exists so one dropped probe (GC pause, packet loss) downgrades
 // routing preference without declaring the peer dead; probation keeps a
-// flapping peer from being re-admitted (and flooded with hint replays)
-// on its first lucky probe.
+// flapping peer from being re-admitted (and sent a re-admission sync
+// round) on its first lucky probe.
 
 // Health states.
 const (
@@ -148,8 +148,8 @@ func (d *Detector) peerLocked(peer string) *peerHealth {
 
 // Observe folds one probe outcome into peer's state machine and returns
 // the resulting state plus whether this observation caused a
-// transition. Callers use the (StateAlive, true) return to trigger
-// hinted-handoff replay exactly once per recovery.
+// transition. Callers use the (StateAlive, true) return to run the
+// re-admission sync round exactly once per recovery.
 func (d *Detector) Observe(peer string, ok bool, latency time.Duration) (state string, transitioned bool) {
 	now := time.Now()
 	d.mu.Lock()

@@ -42,13 +42,9 @@ func PCO(p Problem) (*Result, error) {
 	evals0 := ev.count()
 
 	// densePeak evaluates the stable-status peak of the specs with the
-	// given per-core phase offsets. The aligned cycle is evaluated once up
-	// front, so an evaluation error refuses before the phase search.
+	// given per-core phase offsets.
 	densePeak := func(w int, specs []coreSpec, offs []float64) (float64, error) {
 		return ev.densePeak(w, specs, offs, st.tc, st.cache)
-	}
-	if _, err := densePeak(0, st.specs, offsets); err != nil {
-		return nil, err
 	}
 
 	// Phase search: greedily, core by core, pick the offset that minimizes

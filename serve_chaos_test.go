@@ -1,6 +1,7 @@
 package thermosc
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -27,7 +28,11 @@ import (
 //  2. every 200 body carries a plan that passes the independent
 //     verification oracle (Platform.Audit) at its request's threshold —
 //     overload and injected faults may degrade plans, never unverify
-//     them.
+//     them;
+//  3. once Shutdown has drained every request, audit and refresh, no
+//     flight stays registered and admission holds no queued request and
+//     no solve slot — the storm's panics, short deadlines, sheds and
+//     stale refreshes leak neither structure.
 //
 // The storm is seed-pinned. THERMOSC_CHAOS_REQUESTS scales the request
 // count (CI runs a bigger storm than the default `go test`);
@@ -208,5 +213,17 @@ func TestServeChaos(t *testing.T) {
 		if err := os.WriteFile(out, blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown after the storm: %v", err)
+	}
+	srv.flights.mu.Lock()
+	flights := len(srv.flights.m)
+	srv.flights.mu.Unlock()
+	if depth, held := srv.admit.depth(), len(srv.admit.sem); flights != 0 || depth != 0 || held != 0 {
+		t.Fatalf("after shutdown: %d flights registered, queue depth %d, %d solve slots held", flights, depth, held)
 	}
 }

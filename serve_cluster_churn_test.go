@@ -16,10 +16,10 @@ import (
 )
 
 // The self-healing battery: failure detection driving health-aware
-// routing, hinted handoff replaying missed writes into a restarted
-// replica, graceful drain, flapping peers, an asymmetric partition, a
-// rolling restart of every node under load, and the seed-pinned churn
-// soak the CI job runs with -race.
+// routing, the re-admission sync round delivering missed writes into a
+// restarted replica, graceful drain, flapping peers, an asymmetric
+// partition, a rolling restart of every node under load, and the
+// seed-pinned churn soak the CI job runs with -race.
 
 // healthKnobsMutate pre-sets fast detector thresholds on every replica
 // (startReplica preserves them while overriding the topology).
@@ -132,11 +132,11 @@ func TestClusterDetectorReroutesAroundDeadPeer(t *testing.T) {
 	}
 }
 
-// Writes for a dead owner queue as hints and replay the moment the
-// detector re-admits it — with anti-entropy OFF, so replay alone must
-// make the restarted replica byte-identical for the missed keys, before
-// any gossip round.
-func TestClusterHintedHandoffReplay(t *testing.T) {
+// Writes made while an owner is dead reach it the moment the detector
+// re-admits it — with anti-entropy OFF, so the re-admission sync round
+// alone must make the restarted replica byte-identical for the missed
+// keys, before any gossip round.
+func TestClusterReadmissionSyncsMissedWrites(t *testing.T) {
 	mutate := healthKnobsMutate(1, 2, 2) // probation: 2 successes to rejoin
 	tc := startTestCluster(t, 3, 0, mutate)
 	victim := 2
@@ -145,8 +145,8 @@ func TestClusterHintedHandoffReplay(t *testing.T) {
 	tc.stopReplica(victim)
 	probeUntil(t, tc.srvs[0], victimURL, cluster.StateDead)
 
-	// Solve three victim-owned keys through replica 0. Each solved plan
-	// is stored locally and its key queued as a hint for the dead owner.
+	// Solve three victim-owned keys through replica 0, which stores each
+	// solved plan.
 	var bodies []string
 	refPlans := make(map[string][]byte)
 	ring := tc.srvs[0].cluster.ring
@@ -166,118 +166,86 @@ func TestClusterHintedHandoffReplay(t *testing.T) {
 		}
 		refPlans[b] = mr.Plan
 	}
-	if got := tc.srvs[0].cluster.hints.Pending(victimURL); got != len(bodies) {
-		t.Fatalf("%d hints pending for the dead owner, want %d", got, len(bodies))
-	}
-	// Pending hints surface per peer on /v1/cluster.
-	resp, err := http.Get(tc.urls[0] + "/v1/cluster")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cs ClusterStatus
-	err = json.NewDecoder(resp.Body).Decode(&cs)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, p := range cs.Peers {
-		if p.URL == victimURL {
-			found = true
-			if p.HintsPending != len(bodies) {
-				t.Fatalf("peer status hints_pending %d, want %d", p.HintsPending, len(bodies))
-			}
-		}
-	}
-	if !found {
-		t.Fatal("victim missing from peer status")
-	}
 
 	// Restart the victim cold. Probation: the first successful probe must
-	// NOT replay (the peer could be flapping); the second re-admits and
-	// replays synchronously.
+	// NOT sync (the peer could be flapping); the second re-admits it and
+	// syncs synchronously.
 	cfg := ServerConfig{}
 	mutate(victim, &cfg)
 	tc.restartReplica(t, victim, cfg, 0)
 	if got := tc.srvs[victim].cluster.store.Len(); got != 0 {
-		t.Fatalf("restarted replica store has %d entries before replay", got)
+		t.Fatalf("restarted replica store has %d entries before re-admission", got)
 	}
 	tc.srvs[0].cluster.probeOne(context.Background(), victimURL)
 	if st := tc.srvs[0].cluster.health.Health(victimURL); !st.Recovering {
 		t.Fatalf("victim not in probation after first good probe: %+v", st)
 	}
 	if got := tc.srvs[victim].cluster.store.Len(); got != 0 {
-		t.Fatalf("replay fired during probation: %d entries", got)
+		t.Fatalf("re-admission sync ran during probation: %d entries", got)
 	}
 	tc.srvs[0].cluster.probeOne(context.Background(), victimURL)
 	if got := tc.srvs[0].cluster.health.State(victimURL); got != cluster.StateAlive {
 		t.Fatalf("victim state %q after probation, want alive", got)
 	}
 
-	// Replay (not anti-entropy — SyncInterval is 0 and no syncs ran)
-	// delivered every missed entry, byte-identical.
+	// The re-admission round (not gossip — SyncInterval is 0 and no other
+	// round ran) delivered every missed entry, byte-identical.
 	if got := tc.srvs[victim].cluster.store.Len(); got != len(bodies) {
-		t.Fatalf("replayed store has %d entries, want %d", got, len(bodies))
-	}
-	if got := tc.srvs[0].cluster.hints.Pending(victimURL); got != 0 {
-		t.Fatalf("%d hints still pending after replay", got)
-	}
-	hs := tc.srvs[0].cluster.hints.Stats()
-	if hs.Replayed != uint64(len(bodies)) || hs.Backlog != 0 {
-		t.Fatalf("hint stats after replay: %+v", hs)
+		t.Fatalf("re-admitted store has %d entries, want %d", got, len(bodies))
 	}
 	for body, want := range refPlans {
 		status, mr := postMaximize(t, tc.urls[victim], body)
 		if status != http.StatusOK || !mr.Cached {
-			t.Fatalf("replayed serve: HTTP %d cached=%v, want a store hit", status, mr.Cached)
+			t.Fatalf("re-admitted serve: HTTP %d cached=%v, want a store hit", status, mr.Cached)
 		}
 		if !bytes.Equal(mr.Plan, want) {
-			t.Fatal("replayed plan differs from the plan served while the owner was down")
+			t.Fatal("re-admitted plan differs from the plan served while the owner was down")
 		}
 	}
 }
 
-// The hint queue honors its cap under a down owner: overflow drops the
-// oldest keys, counted, and the store itself still holds every plan.
-func TestClusterHintOverflowBounded(t *testing.T) {
-	mutate := func(i int, cfg *ServerConfig) {
-		cfg.Cluster = &ClusterConfig{SuspectAfter: 1, DeadAfter: 1, RecoverAfter: 1, HintCap: 2}
-	}
+// A write solved while the writer still holds a stopped owner alive —
+// inside the detection window, before enough failures mark it suspect —
+// reaches the owner in the sync round that re-admits it.
+func TestClusterReadmissionDeliversDetectionWindowWrite(t *testing.T) {
+	mutate := healthKnobsMutate(2, 3, 1)
 	tc := startTestCluster(t, 3, 0, mutate)
-	victim := 1
+	victim := 2
 	victimURL := tc.urls[victim]
 	tc.stopReplica(victim)
-	probeUntil(t, tc.srvs[0], victimURL, cluster.StateDead)
 
-	solved := 0
-	ring := tc.srvs[0].cluster.ring
-	for dt := 0; dt < 600 && solved < 4; dt++ {
-		b := clusterBody(3, 3, 3, 61+float64(dt)*0.0625)
-		if ring.Owner(planKeyFor(t, b)) != victimURL {
-			continue
-		}
-		if status, _ := postMaximize(t, tc.urls[0], b); status != http.StatusOK {
-			t.Fatalf("solve: HTTP %d", status)
-		}
-		solved++
+	// The forward fails once, below SuspectAfter: replica 0 still holds
+	// the owner alive and answers with a local solve.
+	body := coldBodyOwnedBy(t, tc, victimURL)
+	status, ref := postMaximize(t, tc.urls[0], body)
+	if status != http.StatusOK {
+		t.Fatalf("solve with the owner stopped: HTTP %d", status)
 	}
-	if solved < 4 {
-		t.Fatal("not enough victim-owned solves")
+	if got := tc.srvs[0].cluster.forwardFails.Load(); got != 1 {
+		t.Fatalf("%d forward failures, want 1", got)
 	}
-	hs := tc.srvs[0].cluster.hints.Stats()
-	if tc.srvs[0].cluster.hints.Pending(victimURL) != 2 || hs.Dropped != uint64(solved-2) {
-		t.Fatalf("hint bound not enforced: pending %d, stats %+v",
-			tc.srvs[0].cluster.hints.Pending(victimURL), hs)
+	if got := tc.srvs[0].cluster.health.State(victimURL); got != cluster.StateAlive {
+		t.Fatalf("owner state %q after one failed forward, want alive", got)
 	}
-	st := getStats(t, tc.urls[0])
-	if st.Cluster.HintsDropped != hs.Dropped || st.Cluster.HintBacklog != 2 {
-		t.Fatalf("stats hint block: %+v", st.Cluster)
+
+	probeUntil(t, tc.srvs[0], victimURL, cluster.StateDead)
+	cfg := ServerConfig{}
+	mutate(victim, &cfg)
+	tc.restartReplica(t, victim, cfg, 0)
+	probeUntil(t, tc.srvs[0], victimURL, cluster.StateAlive)
+
+	if _, ok := tc.srvs[victim].cluster.store.Get(planKeyFor(t, body)); !ok {
+		t.Fatal("the re-admitted owner lacks the write made during the detection window")
+	}
+	status, mr := postMaximize(t, tc.urls[victim], body)
+	if status != http.StatusOK || !mr.Cached || !bytes.Equal(mr.Plan, ref.Plan) {
+		t.Fatalf("re-admitted serve: HTTP %d cached=%v, bytes equal=%v", status, mr.Cached, bytes.Equal(mr.Plan, ref.Plan))
 	}
 }
 
 // POST /v1/cluster/drain: the replica reports draining on /healthz,
-// pushes its owned entries to their live-view successors, keeps
-// answering stragglers, and ?off=1 rejoins.
+// runs a sync round with every healthy peer, keeps answering
+// stragglers, and ?off=1 rejoins.
 func TestClusterDrainAndRejoin(t *testing.T) {
 	tc := startTestCluster(t, 3, 0, nil)
 	byOwner := bodiesByOwner(t, tc)
@@ -305,24 +273,21 @@ func TestClusterDrainAndRejoin(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("drain: HTTP %d, %v", resp.StatusCode, err)
 	}
-	if !out.Draining || out.Pushed < 1 || out.PushFailures != 0 {
-		t.Fatalf("drain result %+v, want a clean push of >=1 owned entries", out)
+	// pushed is not pinned: a later round also relays entries pulled in
+	// an earlier one, so it depends on the order of the peers.
+	if !out.Draining || out.Targets != 2 || out.PushFailures != 0 {
+		t.Fatalf("drain result %+v, want clean sync rounds with both peers", out)
 	}
 
-	// The owned entry landed exactly where the drained replica's live
-	// view re-routes it.
-	successor := tc.srvs[0].cluster.healthyOwner(ownedKey)
-	if successor == drained {
+	// Both peers — the live-view successor of the owned key among them —
+	// hold the drained replica's owned entry.
+	if tc.srvs[0].cluster.healthyOwner(ownedKey) == drained {
 		t.Fatal("draining replica still owns its key in its own live view")
 	}
-	var si int
-	for i, u := range tc.urls {
-		if u == successor {
-			si = i
+	for i := 1; i < len(tc.srvs); i++ {
+		if _, ok := tc.srvs[i].cluster.store.Get(ownedKey); !ok {
+			t.Fatalf("peer %s lacks the drained replica's owned entry", tc.urls[i])
 		}
-	}
-	if _, ok := tc.srvs[si].cluster.store.Get(ownedKey); !ok {
-		t.Fatalf("successor %s lacks the pushed entry", successor)
 	}
 
 	// /healthz flips to 503 "draining" — what peer probes key off — but
@@ -414,26 +379,21 @@ func TestClusterAsymmetricPartition(t *testing.T) {
 	if status, _ := postMaximize(t, aURL, bBody); status != http.StatusOK {
 		t.Fatalf("B-owned request during partition: HTTP %d", status)
 	}
-	if tc.srvs[a].cluster.hints.Pending(bURL) == 0 {
-		t.Fatal("no hint queued for the partitioned owner")
-	}
 
-	// Heal: successful gossip rounds walk B through probation back to
-	// alive, replaying the hints.
+	// Heal: the first successful gossip round converges the pair, handing
+	// B the write it missed; the second walks B out of probation.
 	tc.srvs[b].cluster.rejectSync.Store(false)
-	for i := 0; i < 2; i++ {
-		if err := tc.srvs[a].SyncPeer(ctx, bURL); err != nil {
-			t.Fatalf("post-heal sync %d: %v", i, err)
-		}
+	if err := tc.srvs[a].SyncPeer(ctx, bURL); err != nil {
+		t.Fatalf("first post-heal sync: %v", err)
+	}
+	if _, ok := tc.srvs[b].cluster.store.Get(planKeyFor(t, bBody)); !ok {
+		t.Fatal("the first healing round did not deliver the missed write to B")
+	}
+	if err := tc.srvs[a].SyncPeer(ctx, bURL); err != nil {
+		t.Fatalf("second post-heal sync: %v", err)
 	}
 	if got := tc.srvs[a].cluster.health.State(bURL); got != cluster.StateAlive {
 		t.Fatalf("B not re-admitted after healing: %q", got)
-	}
-	if got := tc.srvs[a].cluster.hints.Pending(bURL); got != 0 {
-		t.Fatalf("%d hints still pending after re-admission", got)
-	}
-	if _, ok := tc.srvs[b].cluster.store.Get(planKeyFor(t, bBody)); !ok {
-		t.Fatal("hint replay did not deliver the missed write to B")
 	}
 	tc.syncAll(t)
 	if !tc.converged() {
@@ -442,7 +402,8 @@ func TestClusterAsymmetricPartition(t *testing.T) {
 }
 
 // A flapping peer cycles dead→alive repeatedly; every cycle is recorded
-// on the timeline, replays cleanly, and the fleet stays consistent.
+// on the timeline, each re-admission delivers the cycle's missed write,
+// and the fleet stays consistent.
 func TestClusterFlappingPeer(t *testing.T) {
 	mutate := healthKnobsMutate(1, 1, 1)
 	tc := startTestCluster(t, 3, 0, mutate)
@@ -479,17 +440,17 @@ func TestClusterFlappingPeer(t *testing.T) {
 		mutate(flapper, &cfg)
 		tc.restartReplica(t, flapper, cfg, 0)
 		probeUntil(t, tc.srvs[0], fURL, cluster.StateAlive)
-		if got := tc.srvs[0].cluster.hints.Pending(fURL); got != 0 {
-			t.Fatalf("cycle %d: %d hints unplayed after recovery", cycle, got)
+		if _, ok := tc.srvs[flapper].cluster.store.Get(planKeyFor(t, b)); !ok {
+			t.Fatalf("cycle %d: the re-admitted flapper lacks this cycle's write", cycle)
 		}
 	}
-	// Every cycle's missed write reached the flapper via replay — its
-	// CURRENT store holds the latest cycle's key (earlier incarnations
-	// died with theirs; anti-entropy is their backstop, exercised next).
 	h := tc.srvs[0].cluster.health.Health(fURL)
 	if h.Transitions < 6 {
 		t.Fatalf("flapper logged %d transitions, want >=6 (3 full cycles)", h.Transitions)
 	}
+	// Each re-admission round handed the flapper's current incarnation
+	// every key replica 0 holds, earlier cycles' included; gossip then
+	// converges the rest of the fleet.
 	tc.syncAll(t)
 	for b, want := range solved {
 		status, mr := postMaximize(t, fURL, b)
@@ -781,7 +742,7 @@ func TestClusterChurnSoak(t *testing.T) {
 	}
 
 	// 3. Replication soundness under churn: no key ever produced two
-	// different complete plans, across kills, restarts, and replays.
+	// different complete plans, across kills, restarts, and re-admissions.
 	if len(report.PlanMismatches) > 0 {
 		t.Fatalf("divergent plans for keys %v", report.PlanMismatches)
 	}
@@ -847,12 +808,4 @@ func TestClusterChurnSoak(t *testing.T) {
 
 	// 6. Per-node serve-source accounting (per current process).
 	sumInvariant(t, tc)
-
-	// 7. Hint accounting is self-consistent on every survivor.
-	for i := range tc.srvs {
-		hs := tc.srvs[i].cluster.hints.Stats()
-		if hs.Queued < hs.Replayed+hs.Dropped {
-			t.Fatalf("replica %d hint counters impossible: %+v", i, hs)
-		}
-	}
 }

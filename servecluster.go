@@ -48,7 +48,7 @@ const clusterHopHeader = "X-Thermosc-Cluster-Hop"
 
 // forwardTimeout caps one proxied request to the owner replica (the
 // proxied request also inherits the client's own deadline via context),
-// and likewise one hinted-handoff replay or drain push.
+// the sync round that re-admits a peer, and a drain's sync rounds.
 const forwardTimeout = 30 * time.Second
 
 // probeSeed pins the per-tick health-probe ordering.
@@ -105,9 +105,6 @@ type ClusterConfig struct {
 	SuspectAfter int
 	DeadAfter    int
 	RecoverAfter int
-	// HintCap bounds the per-peer hinted-handoff queue (default
-	// cluster.DefaultHintCap keys; overflow drops oldest).
-	HintCap int
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
@@ -129,9 +126,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.StoreBackend == "" {
 		c.StoreBackend = "mem"
 	}
-	if c.HintCap <= 0 {
-		c.HintCap = cluster.DefaultHintCap
-	}
 	return c
 }
 
@@ -145,10 +139,6 @@ type serveCluster struct {
 	// dedicated probe, gossip round, forward transport failure — feeds
 	// it, and healthyOwner consults it to route around down peers.
 	health *cluster.Detector
-	// hints is the hinted-handoff queue: keys of complete plans whose
-	// ring owner was down at write time, replayed when the detector
-	// re-admits the owner.
-	hints *cluster.HintQueue
 
 	// Serve-source counters. The per-node invariant, pinned by tests:
 	// servedLocal + servedPeer + servedForwarded == successful (200)
@@ -170,15 +160,13 @@ type serveCluster struct {
 	// draining, when set, takes this replica out of the healthy ring
 	// view (its own keys route to successors), reports "draining" on
 	// /healthz so balancers and peer probes stop sending traffic, and
-	// was preceded by a push of owned entries to their new owners. See
+	// was followed by a sync round with every healthy peer. See
 	// handleClusterDrain.
 	draining atomic.Bool
 
 	// rejectSync, when set, answers every inbound sync with 503 — the
-	// partition lever fault-tolerance tests pull. Exported behavior, not
-	// just a test hook: operators can partition a replica out of gossip
-	// while debugging it (POST /v1/cluster/sync is the only write path
-	// between replicas).
+	// tests' partition lever (POST /v1/cluster/sync is the only write
+	// path between replicas). No endpoint or flag sets it.
 	rejectSync atomic.Bool
 
 	mu       sync.Mutex
@@ -252,17 +240,15 @@ func newServeCluster(cfg ClusterConfig) (*serveCluster, error) {
 			DeadAfter:    cfg.DeadAfter,
 			RecoverAfter: cfg.RecoverAfter,
 		}),
-		hints:    cluster.NewHintQueue(cfg.HintCap),
 		peerSeen: make(map[string]peerSyncState, len(cfg.Peers)),
 		stop:     make(chan struct{}),
 	}
 	return c, nil
 }
 
-// owner returns the replica owning a canonical plan key.
-func (c *serveCluster) owner(planKey string) string { return c.ring.Owner(planKey) }
-
-func (c *serveCluster) owns(planKey string) bool { return c.owner(planKey) == c.cfg.Self }
+// owns reports whether this replica is the ring owner of a canonical
+// plan key.
+func (c *serveCluster) owns(planKey string) bool { return c.ring.Owner(planKey) == c.cfg.Self }
 
 // downForRouting is the live-view predicate: a node is routed around
 // when the detector holds it suspect/dead, or when it is this replica
@@ -286,50 +272,6 @@ func (c *serveCluster) healthyOwner(planKey string) string {
 		return c.cfg.Self
 	}
 	return o
-}
-
-// observeHealth feeds one peer contact outcome into the failure
-// detector; a transition back to alive triggers the hinted-handoff
-// replay for that peer. Only probe/gossip paths report successes, so
-// the (potentially slow) replay never runs inside a request handler.
-func (c *serveCluster) observeHealth(peer string, ok bool, latency time.Duration) {
-	state, transitioned := c.health.Observe(peer, ok, latency)
-	if transitioned && state == cluster.StateAlive {
-		ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
-		defer cancel()
-		c.replayHints(ctx, peer)
-	}
-}
-
-// replayHints pushes the queued missed writes to a re-admitted peer as
-// push-only sync rounds. Keys whose entries were evicted are skipped
-// (anti-entropy is the backstop); on a failed push the batch is
-// requeued for the next recovery.
-func (c *serveCluster) replayHints(ctx context.Context, peer string) {
-	keys := c.hints.Take(peer)
-	if len(keys) == 0 {
-		return
-	}
-	if _, err := c.pushEntries(ctx, peer, cluster.MissingEntries(c.store, keys)); err != nil {
-		c.hints.Requeue(peer, keys)
-	}
-}
-
-// pushEntries sends entries to peer as push-only sync rounds of at most
-// cluster.MaxSyncEntries each, stopping at the first failed round, and
-// returns how many entries were delivered.
-func (c *serveCluster) pushEntries(ctx context.Context, peer string, entries []cluster.Entry) (int, error) {
-	pushed := 0
-	for len(entries) > 0 {
-		batch := entries[:min(len(entries), cluster.MaxSyncEntries)]
-		if _, err := c.postSync(ctx, peer, cluster.SyncRequest{From: c.cfg.Self, Entries: batch}); err != nil {
-			return pushed, err
-		}
-		c.entriesSent.Add(uint64(len(batch)))
-		pushed += len(batch)
-		entries = entries[len(batch):]
-	}
-	return pushed, nil
 }
 
 // startLoops launches the background anti-entropy and health-probe
@@ -383,7 +325,7 @@ func (c *serveCluster) startLoops() {
 // single-peer view of a flapping fleet could stall entirely).
 func (c *serveCluster) syncTick(ctx context.Context) {
 	for range c.cfg.Peers {
-		if c.syncNow(ctx, c.nextPeer()) == nil {
+		if _, err := c.syncNow(ctx, c.nextPeer()); err == nil {
 			return
 		}
 		if ctx.Err() != nil {
@@ -407,18 +349,21 @@ func (c *serveCluster) probeTick(ctx context.Context) {
 // probeOne checks one peer's /healthz and feeds the detector. Any
 // non-200 — including a draining peer's 503 — counts as a failure, so
 // routing moves off a replica as soon as it signals unreadiness, not
-// only when its socket dies.
+// only when its socket dies. The probe that re-admits a peer runs one
+// sync round with it, which hands it every write it missed — also those
+// made before the detector marked it down. (A gossip round that
+// re-admits a peer has already converged the pair.)
 func (c *serveCluster) probeOne(ctx context.Context, peer string) {
 	timeout := c.cfg.ProbeInterval
 	if timeout <= 0 || timeout > 2*time.Second {
 		timeout = 2 * time.Second
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	pctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	c.probesSent.Add(1)
 	start := time.Now()
 	ok := false
-	if hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/healthz", nil); err == nil {
+	if hreq, err := http.NewRequestWithContext(pctx, http.MethodGet, peer+"/healthz", nil); err == nil {
 		if hresp, err := c.client.Do(hreq); err == nil {
 			_, _ = io.Copy(io.Discard, io.LimitReader(hresp.Body, 4<<10))
 			hresp.Body.Close()
@@ -428,7 +373,11 @@ func (c *serveCluster) probeOne(ctx context.Context, peer string) {
 	if !ok {
 		c.probeFails.Add(1)
 	}
-	c.observeHealth(peer, ok, time.Since(start))
+	if state, transitioned := c.health.Observe(peer, ok, time.Since(start)); transitioned && state == cluster.StateAlive {
+		sctx, scancel := context.WithTimeout(ctx, forwardTimeout)
+		defer scancel()
+		_, _ = c.syncNow(sctx, peer) // syncNow records a failed round itself
+	}
 }
 
 func (c *serveCluster) stopLoops() {
@@ -456,13 +405,14 @@ func (c *serveCluster) nextPeer() string {
 
 // syncNow runs one pull-push anti-entropy round against peer: send our
 // digest, store what the peer has that we lack, push what it asked for.
-// The round's outcome doubles as a failure-detector observation — every
-// gossip tick is a free health probe.
-func (c *serveCluster) syncNow(ctx context.Context, peer string) error {
+// It returns how many entries it pushed. The round's outcome doubles as
+// a failure-detector observation — every gossip tick is a free health
+// probe.
+func (c *serveCluster) syncNow(ctx context.Context, peer string) (int, error) {
 	c.syncRounds.Add(1)
 	roundStart := time.Now()
-	err := c.syncRound(ctx, peer)
-	c.observeHealth(peer, err == nil, time.Since(roundStart))
+	pushed, err := c.syncRound(ctx, peer)
+	c.health.Observe(peer, err == nil, time.Since(roundStart))
 	c.mu.Lock()
 	st := peerSyncState{at: time.Now(), fails: c.peerSeen[peer].fails}
 	if err != nil {
@@ -474,31 +424,28 @@ func (c *serveCluster) syncNow(ctx context.Context, peer string) error {
 	if err != nil {
 		c.syncFails.Add(1)
 	}
-	return err
+	return pushed, err
 }
 
-func (c *serveCluster) syncRound(ctx context.Context, peer string) error {
+func (c *serveCluster) syncRound(ctx context.Context, peer string) (int, error) {
 	resp, err := c.postSync(ctx, peer, cluster.SyncRequest{From: c.cfg.Self, Digest: c.store.Digest()})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for _, e := range resp.Entries {
 		if c.store.Put(e) {
 			c.entriesRecvd.Add(1)
 		}
 	}
-	if len(resp.Want) == 0 {
-		return nil
-	}
 	push := cluster.MissingEntries(c.store, resp.Want)
 	if len(push) == 0 {
-		return nil
+		return 0, nil
 	}
 	if _, err := c.postSync(ctx, peer, cluster.SyncRequest{From: c.cfg.Self, Entries: push}); err != nil {
-		return err
+		return 0, err
 	}
 	c.entriesSent.Add(uint64(len(push)))
-	return nil
+	return len(push), nil
 }
 
 // maxSyncBodyBytes bounds one gossip message on the wire: the entry
@@ -550,7 +497,6 @@ func (c *serveCluster) served(source string) {
 // statsSnapshot renders the cluster block of /v1/stats.
 func (c *serveCluster) statsSnapshot() *ClusterStats {
 	alive, suspect, dead := c.health.Counts()
-	hs := c.hints.Stats()
 	return &ClusterStats{
 		Self:            c.cfg.Self,
 		Nodes:           c.ring.Nodes(),
@@ -569,10 +515,6 @@ func (c *serveCluster) statsSnapshot() *ClusterStats {
 		PeersDead:       dead,
 		ProbesSent:      c.probesSent.Load(),
 		ProbeFailures:   c.probeFails.Load(),
-		HintsQueued:     hs.Queued,
-		HintsDropped:    hs.Dropped,
-		HintsReplayed:   hs.Replayed,
-		HintBacklog:     hs.Backlog,
 		Draining:        c.draining.Load(),
 	}
 }
@@ -619,20 +561,14 @@ func (s *Server) lookupPlan(planKey string) (cachedPlan, string, bool) {
 // storePlan keeps a plan in exactly one cache. Single-process, and for
 // degraded plans (which never enter the store; see the file comment),
 // that is the process LRU. In cluster mode a COMPLETE plan goes only to
-// the replicated store; if the key's ring owner is currently down, the
-// write would otherwise reach it only via eventual anti-entropy — so the
-// key is queued as a hint and replayed the moment the detector
-// re-admits the owner.
+// the replicated store; a down owner receives it in the sync round that
+// re-admits it (probeOne).
 func (s *Server) storePlan(planKey string, ent cachedPlan) {
-	c := s.cluster
-	if c == nil || ent.degraded {
+	if s.cluster == nil || ent.degraded {
 		s.plans.Put(planKey, ent)
 		return
 	}
-	c.store.Put(cluster.Entry{Key: planKey, Plan: ent.bytes})
-	if owner := c.owner(planKey); owner != c.cfg.Self && c.health.Down(owner) {
-		c.hints.Add(owner, planKey)
-	}
+	s.cluster.store.Put(cluster.Entry{Key: planKey, Plan: ent.bytes})
 }
 
 // forwardMaximize proxies a request whose key another replica owns.
@@ -660,14 +596,14 @@ func (s *Server) forwardMaximize(w http.ResponseWriter, r *http.Request, body []
 		// rediscovering the dead peer on every forward. HTTP errors below
 		// are NOT observations — they are real answers from a live peer.
 		s.cluster.forwardFails.Add(1)
-		s.cluster.observeHealth(owner, false, 0)
+		s.cluster.health.Observe(owner, false, 0)
 		return false
 	}
 	defer hresp.Body.Close()
 	rb, err := io.ReadAll(io.LimitReader(hresp.Body, maxSyncBodyBytes))
 	if err != nil {
 		s.cluster.forwardFails.Add(1)
-		s.cluster.observeHealth(owner, false, 0)
+		s.cluster.health.Observe(owner, false, 0)
 		return false
 	}
 	if hresp.StatusCode != http.StatusOK {
@@ -749,9 +685,6 @@ type PeerStatus struct {
 	// health observation of any kind (probe, gossip, forward failure).
 	LastProbeUnixS    float64 `json:"last_probe_unix_s,omitempty"`
 	LastProbeLatencyS float64 `json:"last_probe_latency_s,omitempty"`
-	// HintsPending counts queued hinted-handoff keys awaiting this
-	// peer's recovery.
-	HintsPending int `json:"hints_pending,omitempty"`
 }
 
 // FleetStats is the cluster-aggregated view: per-node serve-source
@@ -804,7 +737,6 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 		st.Peers[i].HealthTransitions = ph.Transitions
 		st.Peers[i].LastProbeUnixS = ph.LastProbeUnixS
 		st.Peers[i].LastProbeLatencyS = ph.LastProbeLatencyS
-		st.Peers[i].HintsPending = c.hints.Pending(st.Peers[i].URL)
 	}
 	if r.URL.Query().Get("fleet") != "" {
 		st.Fleet = s.gatherFleet(r.Context())
@@ -917,10 +849,13 @@ func (s *Server) handleClusterSync(w http.ResponseWriter, r *http.Request) {
 // the draining state (?off=1 rejoins). Draining (1) reports 503 on
 // /healthz so balancers and peer probes take the replica out of
 // rotation, (2) removes it from its own healthy ring view so its owned
-// keys route to their successors, and (3) pushes its owned store
-// entries to those successors so a rolling restart loses nothing.
-// In-flight and straggler requests are still answered — refusing them
-// would turn a graceful drain into client-visible errors.
+// keys route to their successors, and (3) runs one sync round with
+// every peer the detector holds up, so each holds every entry this
+// replica has — the successors of its owned keys included — before a
+// restart. The reply counts the rounds run (targets), the entries they
+// pushed, and the failed rounds (push_failures). In-flight and straggler
+// requests are still answered — refusing them would turn a graceful
+// drain into client-visible errors.
 func (s *Server) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
 	c := s.cluster
 	if c == nil {
@@ -935,40 +870,24 @@ func (s *Server) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
 	c.draining.Store(true)
 	ctx, cancel := context.WithTimeout(r.Context(), forwardTimeout)
 	defer cancel()
-	pushed, targets, failures := c.drainPush(ctx)
+	pushed, targets, failures := 0, 0, 0
+	for _, p := range c.cfg.Peers {
+		if c.health.Down(p) {
+			continue
+		}
+		targets++
+		n, err := c.syncNow(ctx, p)
+		pushed += n
+		if err != nil {
+			failures++
+		}
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"draining":      true,
 		"pushed":        pushed,
 		"targets":       targets,
 		"push_failures": failures,
 	})
-}
-
-// drainPush hands this replica's owned entries to their live-view
-// successors (draining already removed self from the view) as push-only
-// sync rounds, one batch per target. Targets that fail stay covered by
-// hinted handoff and anti-entropy.
-func (c *serveCluster) drainPush(ctx context.Context) (pushed, targets, failures int) {
-	byTarget := make(map[string][]cluster.Entry)
-	for _, e := range c.store.Entries() {
-		if c.owner(e.Key) != c.cfg.Self {
-			continue
-		}
-		t := c.healthyOwner(e.Key)
-		if t == c.cfg.Self {
-			continue // no healthy successor; the entry stays local
-		}
-		byTarget[t] = append(byTarget[t], e)
-	}
-	for t, entries := range byTarget {
-		targets++
-		n, err := c.pushEntries(ctx, t, entries)
-		pushed += n
-		if err != nil {
-			failures++
-		}
-	}
-	return pushed, targets, failures
 }
 
 func (s *Server) handleClusterSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -1040,5 +959,6 @@ func (s *Server) SyncPeer(ctx context.Context, peer string) error {
 	if s.cluster == nil {
 		return fmt.Errorf("thermosc: clustering is not enabled")
 	}
-	return s.cluster.syncNow(ctx, strings.TrimRight(peer, "/"))
+	_, err := s.cluster.syncNow(ctx, strings.TrimRight(peer, "/"))
+	return err
 }

@@ -160,13 +160,6 @@ type ClusterStats struct {
 	ProbesSent    uint64 `json:"probes_sent"`
 	ProbeFailures uint64 `json:"probe_failures"`
 
-	// Hinted handoff: lifetime queued/dropped/replayed hint keys plus
-	// the current backlog across all down peers.
-	HintsQueued   uint64 `json:"hints_queued"`
-	HintsDropped  uint64 `json:"hints_dropped"`
-	HintsReplayed uint64 `json:"hints_replayed"`
-	HintBacklog   int    `json:"hint_backlog"`
-
 	// Draining mirrors POST /v1/cluster/drain (also visible on
 	// /healthz).
 	Draining bool `json:"draining"`
