@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test . -fuzz FuzzPlanUnmarshal -fuzztime $(FUZZTIME)
 	$(GO) test . -fuzz FuzzServeRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -fuzz FuzzPlanStoreSync -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -fuzz FuzzFileStoreRecover -fuzztime $(FUZZTIME)
 
 # Quick CI smoke pass over the same fuzz targets.
 fuzz-smoke:
@@ -79,16 +80,17 @@ fuzz-smoke:
 serve-smoke:
 	THERMOSC_SERVE_E2E=1 $(GO) test -run TestServeE2EGolden -count=1 -v .
 
-# PlanStore backends the chaos and soak suites run once each against
-# (mem = replicated in-memory store, file = crash-safe append-only log).
+# Plan store configurations the chaos, soak and churn suites run once
+# each against (mem = in memory only, file = with a crash-safe
+# append-only log at ClusterConfig.StorePath).
 STORE_BACKENDS ?= mem file
 
 # Chaos storm against the planning daemon, race-enabled, once per plan
-# store backend: concurrent requests under tiny deadlines with seeded
-# random solver panics. Zero daemon crashes allowed; every 200 body must
-# pass the verification oracle; after Shutdown no flight, queued request
-# or solve slot may remain. Each backend's final /v1/stats snapshot
-# lands in serve_chaos_stats_<backend>.json.
+# store configuration: concurrent requests under tiny deadlines with
+# seeded random solver panics. Zero daemon crashes allowed; every 200
+# body must pass the verification oracle; after Shutdown no flight,
+# queued request or solve slot may remain. Each configuration's final
+# /v1/stats snapshot lands in serve_chaos_stats_<b>.json.
 CHAOS_REQUESTS ?= 400
 serve-chaos:
 	@for b in $(STORE_BACKENDS); do \
@@ -99,12 +101,12 @@ serve-chaos:
 		$(GO) test -race -run TestServeChaos -count=1 -v . || exit 1; \
 	done
 
-# Fleet soak, race-enabled, once per plan store backend: a seed-pinned
-# zipf workload through a 3-replica in-process cluster. Exact request
-# accounting, zero transport errors, byte-identical plans per canonical
-# key across every replica, and post-load anti-entropy convergence; each
-# backend's load report lands in cluster_soak_report_<backend>.json. CI
-# raises CLUSTER_REQUESTS to 100000.
+# Fleet soak, race-enabled, once per plan store configuration: a
+# seed-pinned zipf workload through a 3-replica in-process cluster.
+# Exact request accounting, zero transport errors, byte-identical plans
+# per canonical key across every replica, and post-load anti-entropy
+# convergence; each configuration's load report lands in
+# cluster_soak_report_<b>.json. CI raises CLUSTER_REQUESTS to 100000.
 CLUSTER_REQUESTS ?= 2500
 cluster-soak:
 	@for b in $(STORE_BACKENDS); do \
@@ -115,13 +117,13 @@ cluster-soak:
 		$(GO) test -race -run TestClusterSoak -count=1 -v . || exit 1; \
 	done
 
-# Churn chaos battery, race-enabled, once per plan store backend: every
-# test in serve_cluster_churn_test.go — the self-healing suite (failure
+# Churn chaos battery, race-enabled, once per plan store configuration:
+# every test in serve_cluster_churn_test.go — the self-healing suite (failure
 # detection, health-aware re-routing, re-admission sync, drain) plus a
 # seed-pinned kill/restart schedule and a rolling restart of every node
 # under live load. Exact accounting, no 5xx to clients, bounded errors
 # confined to kill windows, and post-heal byte-identical convergence;
-# each backend's phase-split load report and per-peer health timeline
+# each configuration's phase-split load report and per-peer health timeline
 # land in cluster_churn_{report,timeline}_<b>.json. The test list is
 # read from the file, so a renamed or added test cannot drop out of it.
 CHURN_REQUESTS ?= 2000

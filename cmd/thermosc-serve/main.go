@@ -52,13 +52,9 @@ func main() {
 		// Fleet flags (see docs/CLUSTER.md). -peers turns on clustering.
 		self         = flag.String("self", "", "this replica's advertised base URL (default http://<bound addr>)")
 		peers        = flag.String("peers", "", "comma-separated peer base URLs; non-empty enables clustering")
-		ringVnodes   = flag.Int("ring-vnodes", 0, "virtual nodes per replica on the hash ring (0 = default 64)")
 		syncInterval = flag.Duration("sync-interval", 2*time.Second, "anti-entropy gossip period (0 disables the background loop)")
 		storeCap     = flag.Int("store-cap", 0, "replicated plan store capacity (0 = default 4096)")
-		storeBackend = flag.String("store-backend", "", "plan store backend: mem or file (default mem)")
-		storePath    = flag.String("store-path", "", "append-only log path for -store-backend file")
-		warmRestore  = flag.String("warm-restore", "", "snapshot file to load into the plan store at startup")
-		warmExport   = flag.String("warm-export", "", "snapshot file to write from the plan store on shutdown")
+		storePath    = flag.String("store-path", "", "crash-safe append-only log for the plan store, replayed at startup (empty keeps the store in memory only)")
 
 		// Self-healing flags (failure detector).
 		probeInterval = flag.Duration("probe-interval", time.Second, "peer /healthz probe period for the failure detector (0 disables dedicated probes; gossip still feeds the detector)")
@@ -84,20 +80,16 @@ func main() {
 		clusterCfg = &thermosc.ClusterConfig{
 			Self:          advertised,
 			Peers:         splitList(*peers),
-			VirtualNodes:  *ringVnodes,
 			SyncInterval:  *syncInterval,
 			StoreCap:      *storeCap,
-			StoreBackend:  *storeBackend,
 			StorePath:     *storePath,
 			ProbeInterval: *probeInterval,
 			SuspectAfter:  *suspectAfter,
 			DeadAfter:     *deadAfter,
 			RecoverAfter:  *recoverAfter,
 		}
-	} else if *warmRestore != "" || *warmExport != "" {
-		log.Fatalf("thermosc-serve: -warm-restore/-warm-export need clustering (-peers or -self)")
-	} else if *storeBackend != "" || *storePath != "" {
-		log.Fatalf("thermosc-serve: -store-backend/-store-path need clustering (-peers or -self)")
+	} else if *storePath != "" {
+		log.Fatalf("thermosc-serve: -store-path needs clustering (-peers or -self)")
 	}
 
 	srv := thermosc.NewServer(thermosc.ServerConfig{
@@ -119,18 +111,6 @@ func main() {
 	httpSrv := &http.Server{
 		Handler:           srv,
 		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	if *warmRestore != "" {
-		snap, err := os.ReadFile(*warmRestore)
-		if err != nil {
-			log.Fatalf("thermosc-serve: warm restore: %v", err)
-		}
-		n, err := srv.ClusterRestore(snap)
-		if err != nil {
-			log.Fatalf("thermosc-serve: warm restore %s: %v", *warmRestore, err)
-		}
-		log.Printf("thermosc-serve: warm restore: %d plans from %s", n, *warmRestore)
 	}
 
 	// The resolved address goes to stdout so scripts and the e2e harness
@@ -164,18 +144,6 @@ func main() {
 	if err := srv.Shutdown(drainCtx); err != nil {
 		log.Printf("thermosc-serve: solve drain: %v", err)
 		os.Exit(1)
-	}
-	if *warmExport != "" {
-		snap, err := srv.ClusterSnapshot()
-		if err != nil {
-			log.Printf("thermosc-serve: warm export: %v", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*warmExport, snap, 0o644); err != nil {
-			log.Printf("thermosc-serve: warm export %s: %v", *warmExport, err)
-			os.Exit(1)
-		}
-		log.Printf("thermosc-serve: warm export: wrote %s", *warmExport)
 	}
 	log.Printf("thermosc-serve: drained, bye")
 }

@@ -9,13 +9,14 @@ import (
 	"testing"
 )
 
-// storeBackends enumerates every PlanStore implementation; the
-// conformance tests below run once per backend so a new store cannot
-// drift from MemStore semantics silently.
-func storeBackends(t *testing.T) map[string]func(t *testing.T, capacity int) PlanStore {
-	return map[string]func(t *testing.T, capacity int) PlanStore{
-		"mem": func(t *testing.T, capacity int) PlanStore { return NewMemStore(capacity) },
-		"file": func(t *testing.T, capacity int) PlanStore {
+// storeBackends enumerates the store's two configurations, without a
+// log ("mem") and with one ("file"); the conformance tests below run
+// once per configuration so the log cannot change what the store
+// answers.
+func storeBackends(t *testing.T) map[string]func(t *testing.T, capacity int) *Store {
+	return map[string]func(t *testing.T, capacity int) *Store{
+		"mem": func(t *testing.T, capacity int) *Store { return NewMemStore(capacity) },
+		"file": func(t *testing.T, capacity int) *Store {
 			st, err := NewFileStore(filepath.Join(t.TempDir(), "plans.log"), capacity)
 			if err != nil {
 				t.Fatal(err)
@@ -119,38 +120,9 @@ func TestPlanStoreConformanceImmutableSortedDigest(t *testing.T) {
 	}
 }
 
-func TestPlanStoreConformanceSnapshotRoundTrip(t *testing.T) {
-	for name, mk := range storeBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			st := mk(t, 0)
-			for i := 0; i < 7; i++ {
-				st.Put(entry(i))
-			}
-			b, err := EncodeSnapshot(st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st2 := mk(t, 0)
-			if n, err := Restore(st2, b); err != nil || n != 7 {
-				t.Fatalf("restore: n=%d err=%v", n, err)
-			}
-			if !Converged(st.Digest(), st2.Digest()) {
-				t.Fatal("restored store diverges from the original")
-			}
-			b2, err := EncodeSnapshot(st2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(b, b2) {
-				t.Fatal("snapshot encoding is not canonical across stores")
-			}
-		})
-	}
-}
-
-// Cross-backend anti-entropy: a MemStore and a FileStore with partially
-// overlapping contents converge through the same HandleSync path the
-// gossip loop uses.
+// Cross-configuration anti-entropy: a store without a log and one with
+// a log, with partially overlapping contents, converge through the same
+// HandleSync path the gossip loop uses.
 func TestPlanStoreConformanceSyncAcrossBackends(t *testing.T) {
 	fs, err := NewFileStore(filepath.Join(t.TempDir(), "plans.log"), 0)
 	if err != nil {
@@ -176,7 +148,7 @@ func TestPlanStoreConformanceSyncAcrossBackends(t *testing.T) {
 	}
 }
 
-// --- FileStore-specific durability behavior ---
+// --- Durability of a store with a log ---
 
 // Reopening a log restores byte-identical entries.
 func TestFileStoreReopenRestores(t *testing.T) {
@@ -240,49 +212,143 @@ func TestFileStoreReopenReplaysEviction(t *testing.T) {
 	}
 }
 
-// A torn final line (crash mid-append) is truncated away; everything
-// before it survives, and the next Put appends cleanly.
+// A torn final line (crash mid-append) is truncated away — also one
+// that parses, since only a line ending in '\n' was written whole.
+// Everything before it survives, and the torn key can be stored again
+// and survives a reopen.
 func TestFileStoreTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "plans.log")
-	st, err := NewFileStore(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Put(entry(0))
-	st.Put(entry(1))
-	st.Close()
-	// Simulate a crash mid-write: append half a record, no newline.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"key":"torn","pl`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	for _, tc := range []struct{ name, key, tail string }{
+		{"partial", "torn", `{"key":"torn","pl`},
+		{"parseable", "torn-valid", `{"key":"torn-valid","plan":"eA=="}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "plans.log")
+			st, err := NewFileStore(path, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Put(entry(0))
+			st.Put(entry(1))
+			st.Close()
+			// Simulate a crash mid-write: append a record without its newline.
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(tc.tail); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
 
-	re, err := NewFileStore(path, 0)
+			re, err := NewFileStore(path, 0)
+			if err != nil {
+				t.Fatalf("torn tail must recover, got %v", err)
+			}
+			defer re.Close()
+			if re.Len() != 2 {
+				t.Fatalf("len %d after torn-tail recovery, want 2", re.Len())
+			}
+			if _, ok := re.Get(tc.key); ok {
+				t.Fatal("torn record leaked into the store")
+			}
+			if !re.Put(Entry{Key: tc.key, Plan: []byte("x")}) {
+				t.Fatal("post-recovery put of the torn key rejected")
+			}
+			re.Close()
+			re2, err := NewFileStore(path, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re2.Close()
+			if got, ok := re2.Get(tc.key); re2.Len() != 3 || !ok || string(got.Plan) != "x" {
+				t.Fatalf("after second reopen: len %d, torn key present %v, want 3 and true", re2.Len(), ok)
+			}
+		})
+	}
+}
+
+// logLines counts the lines of the log at path.
+func logLines(t *testing.T, path string) int {
+	t.Helper()
+	b, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("torn tail must recover, got %v", err)
+		t.Fatal(err)
+	}
+	return bytes.Count(b, []byte("\n"))
+}
+
+// Opening a log that holds more entry lines than the store keeps
+// compacts it to the header plus the live entries, with the digest and
+// the FIFO eviction order unchanged. A sibling left by an interrupted
+// compaction changes nothing, and a compaction that cannot write its
+// sibling keeps the old log, still valid and in use.
+func TestFileStoreCompactsOnOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plans.log")
+	var want map[string]string
+	var fifo []string // the live keys at the last close, oldest first
+	for round := 0; round < 3; round++ {
+		if round == 2 {
+			if err := os.WriteFile(path+".compact", []byte(`{"format":"thermosc-pl`), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := NewFileStore(path, 3)
+		if err != nil {
+			t.Fatalf("open %d: %v", round, err)
+		}
+		if got := logLines(t, path); got != 1+st.Len() {
+			t.Fatalf("open %d: log has %d lines, want 1+%d", round, got, st.Len())
+		}
+		if round > 0 && !Converged(want, st.Digest()) {
+			t.Fatalf("open %d: digest changed across the reopen", round)
+		}
+		// Six new keys per open; the first three must evict the reopened
+		// keys oldest first.
+		for i := 0; i < 6; i++ {
+			if !st.Put(entry(round*6 + i)) {
+				t.Fatalf("open %d: put %d rejected", round, i)
+			}
+			if i >= len(fifo) {
+				continue
+			}
+			for j, k := range fifo {
+				if _, ok := st.Get(k); ok != (j > i) {
+					t.Fatalf("open %d: after put %d, key %d of the FIFO present=%v", round, i, j, ok)
+				}
+			}
+		}
+		fifo = []string{entry(round*6 + 3).Key, entry(round*6 + 4).Key, entry(round*6 + 5).Key}
+		want = st.Digest()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := os.Mkdir(path+".compact", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewFileStore(path, 3)
+	if err != nil {
+		t.Fatalf("a failed compaction must keep the old log: %v", err)
+	}
+	if got := logLines(t, path); got != 1+3+6 {
+		t.Fatalf("failed compaction left %d log lines, want the old 10", got)
+	}
+	if !st.Put(entry(100)) {
+		t.Fatal("put after a failed compaction rejected")
+	}
+	want = st.Digest()
+	st.Close()
+	if err := os.Remove(path + ".compact"); err != nil {
+		t.Fatal(err)
+	}
+	re, err := NewFileStore(path, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Len() != 2 {
-		t.Fatalf("len %d after torn-tail recovery, want 2", re.Len())
-	}
-	if _, ok := re.Get("torn"); ok {
-		t.Fatal("torn record leaked into the store")
-	}
-	if !re.Put(entry(2)) {
-		t.Fatal("post-recovery put rejected")
-	}
-	re.Close()
-	re2, err := NewFileStore(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Close()
-	if re2.Len() != 3 {
-		t.Fatalf("len %d after second reopen, want 3", re2.Len())
+	if !Converged(want, re.Digest()) || logLines(t, path) != 1+re.Len() {
+		t.Fatalf("append after a failed compaction lost: %d log lines for %d entries", logLines(t, path), re.Len())
 	}
 }
 
@@ -365,7 +431,7 @@ func TestFileStoreCloseSemantics(t *testing.T) {
 	}
 }
 
-// Concurrent writers against one FileStore stay race-clean and the log
+// Concurrent writers against one store with a log stay race-clean and the log
 // replays to the same digest.
 func TestFileStoreConcurrentPuts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "plans.log")
@@ -396,4 +462,52 @@ func TestFileStoreConcurrentPuts(t *testing.T) {
 	if !Converged(want, re.Digest()) {
 		t.Fatal("concurrent log replay diverges")
 	}
+}
+
+// FuzzFileStoreRecover writes arbitrary bytes as a store log and opens
+// it: opening never panics, and a log that opens holds only valid
+// entries within the cap and reopens to the same digest.
+func FuzzFileStoreRecover(f *testing.F) {
+	// Short seeds keep minimizing a new input cheap: every execution
+	// fsyncs. Five entry lines, one a duplicate, over cap 3 replay with an
+	// eviction and a compaction.
+	header := `{"format":"thermosc-planstore","version":1,"cap":3}` + "\n"
+	entries := `{"key":"a","plan":"eA=="}` + "\n" + `{"key":"b","plan":"eQ=="}` + "\n" +
+		`{"key":"a","plan":"eg=="}` + "\n" + `{"key":"c","plan":"eA=="}` + "\n" +
+		`{"key":"d","plan":"eA=="}` + "\n"
+	f.Add([]byte(header + entries))
+	f.Add([]byte(header + entries + `{"key":"torn","pl`))
+	f.Add([]byte(`{"format":"thermosc-pl`))
+	f.Add([]byte(header + "{broken json}\n" + entries))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		path := filepath.Join(t.TempDir(), "plans.log")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := NewFileStore(path, 3)
+		if err != nil {
+			return
+		}
+		if st.Len() > st.Cap() {
+			t.Fatalf("recovered %d entries over the cap %d", st.Len(), st.Cap())
+		}
+		for _, e := range st.Entries() {
+			if err := e.Validate(); err != nil {
+				t.Fatalf("recovered an invalid entry: %v", err)
+			}
+		}
+		want := st.Digest()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := NewFileStore(path, 3)
+		if err != nil {
+			t.Fatalf("reopening a recovered log: %v", err)
+		}
+		defer re.Close()
+		if !Converged(want, re.Digest()) {
+			t.Fatal("reopened store diverges from the recovered one")
+		}
+	})
 }

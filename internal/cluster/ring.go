@@ -1,14 +1,15 @@
 // Package cluster is the fleet layer of the planning service: a
 // consistent-hash ring that assigns every canonical request key a single
-// owning replica, a replicated plan store with a versioned warm-export
-// snapshot format, a gossip-style anti-entropy sync protocol, and an
-// open-loop load generator that drives a cluster to soak-test scale.
+// owning replica, a replicated plan store with an optional crash-safe
+// log, a gossip-style anti-entropy sync protocol (also the store's
+// export and import), and an open-loop load generator that drives a
+// cluster to soak-test scale.
 //
 // Everything here is deliberately deterministic: the ring hashes with
 // SHA-256 (no process-seeded map iteration leaks into placement), store
-// snapshots are sorted by key, and the load generator is seed-pinned —
-// so cluster tests can assert exact invariants instead of probabilistic
-// ones.
+// entries and sync replies are sorted by key, and the load generator is
+// seed-pinned — so cluster tests can assert exact invariants instead of
+// probabilistic ones.
 package cluster
 
 import (

@@ -98,59 +98,6 @@ func TestMemStoreImmutableAndSorted(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	st := NewMemStore(0)
-	for i := 0; i < 7; i++ {
-		st.Put(entry(i))
-	}
-	b, err := EncodeSnapshot(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2 := NewMemStore(0)
-	n, err := Restore(st2, b)
-	if err != nil || n != 7 {
-		t.Fatalf("restore: n=%d err=%v", n, err)
-	}
-	if !Converged(st.Digest(), st2.Digest()) {
-		t.Fatal("restored store diverges from the original")
-	}
-	// Canonical: converged stores export byte-identical snapshots.
-	b2, err := EncodeSnapshot(st2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b, b2) {
-		t.Fatal("snapshot encoding is not canonical across stores")
-	}
-	// Restoring into a warm store only adds what is missing.
-	st3 := NewMemStore(0)
-	st3.Put(entry(0))
-	if n, err := Restore(st3, b); err != nil || n != 6 {
-		t.Fatalf("warm restore: n=%d err=%v", n, err)
-	}
-}
-
-func TestDecodeSnapshotStrict(t *testing.T) {
-	cases := map[string]string{
-		"garbage":        `not json`,
-		"trailing":       `{"version":1,"entries":[]}{"x":1}`,
-		"unknown field":  `{"version":1,"entries":[],"extra":true}`,
-		"bad version":    `{"version":2,"entries":[]}`,
-		"empty key":      `{"version":1,"entries":[{"key":"","plan":"eA=="}]}`,
-		"no plan":        `{"version":1,"entries":[{"key":"k"}]}`,
-		"duplicate keys": `{"version":1,"entries":[{"key":"k","plan":"eA=="},{"key":"k","plan":"eA=="}]}`,
-	}
-	for name, body := range cases {
-		if _, err := DecodeSnapshot([]byte(body)); err == nil {
-			t.Errorf("%s: decode accepted %q", name, body)
-		}
-	}
-	if got, err := DecodeSnapshot([]byte(`{"version":1,"entries":[]}`)); err != nil || len(got) != 0 {
-		t.Fatalf("empty snapshot: %v %v", got, err)
-	}
-}
-
 func TestDecodeSyncRequestStrict(t *testing.T) {
 	cases := map[string]string{
 		"garbage":           `[`,

@@ -25,6 +25,10 @@ import (
 // occur between honest replicas; if they ever do (bit-rot, version
 // skew), first-write-wins keeps each replica internally stable and the
 // divergence stays visible in the digests instead of flapping.
+//
+// The same messages export and import a store: a pull with an empty
+// digest returns every entry, key-sorted, and a push of those entries
+// loads them into another store.
 
 // SyncRequest is one gossip message: a digest (pull phase), entries
 // (push phase), or both.
@@ -88,7 +92,7 @@ func DecodeSyncRequest(b []byte) (SyncRequest, error) {
 // HandleSync applies one gossip message against the local store and
 // computes the reply. It is the pure protocol core — transport, auth,
 // and counters live in the serving layer.
-func HandleSync(st PlanStore, req SyncRequest) SyncResponse {
+func HandleSync(st *Store, req SyncRequest) SyncResponse {
 	var resp SyncResponse
 	for _, e := range req.Entries {
 		if st.Put(e) {
@@ -115,7 +119,7 @@ func HandleSync(st PlanStore, req SyncRequest) SyncResponse {
 
 // MissingEntries returns the store's entries for the given keys (the
 // push phase of a round), skipping keys the store no longer holds.
-func MissingEntries(st PlanStore, keys []string) []Entry {
+func MissingEntries(st *Store, keys []string) []Entry {
 	out := make([]Entry, 0, len(keys))
 	for _, k := range keys {
 		if e, ok := st.Get(k); ok {

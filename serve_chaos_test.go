@@ -38,8 +38,8 @@ import (
 // count (CI runs a bigger storm than the default `go test`);
 // THERMOSC_CHAOS_STATS names a file to dump the final /v1/stats
 // snapshot into (uploaded as a CI artifact); THERMOSC_CHAOS_STORE
-// selects the plan-store backend the storm writes through (mem, or
-// file for the crash-safe append-only log — CI runs both).
+// selects the plan store the storm writes through (mem, or file for a
+// store with a crash-safe append-only log — CI runs both).
 func TestServeChaos(t *testing.T) {
 	requests := 48
 	if v := os.Getenv("THERMOSC_CHAOS_REQUESTS"); v != "" {
@@ -62,15 +62,14 @@ func TestServeChaos(t *testing.T) {
 		BreakerCooloff:   100 * time.Millisecond,
 	}
 	// THERMOSC_CHAOS_STORE=file runs the storm over a single-node cluster
-	// whose plan store is the append-only file backend, so every complete
-	// plan rides the fsync'd Put path under fault injection.
+	// whose plan store has an append-only log, so every complete plan
+	// rides the fsync'd Put path under fault injection.
 	switch backend := os.Getenv("THERMOSC_CHAOS_STORE"); backend {
 	case "", "mem":
 	case "file":
 		cfg.Cluster = &ClusterConfig{
-			Self:         "http://chaos-local",
-			StoreBackend: "file",
-			StorePath:    filepath.Join(t.TempDir(), "chaos-planstore.log"),
+			Self:      "http://chaos-local",
+			StorePath: filepath.Join(t.TempDir(), "chaos-planstore.log"),
 		}
 	default:
 		t.Fatalf("bad THERMOSC_CHAOS_STORE %q (want mem or file)", backend)

@@ -604,13 +604,14 @@ func TestClusterRollingRestartUnderLoad(t *testing.T) {
 }
 
 // TestClusterChurnSoak is the flagship chaos battery CI runs with -race
-// against both store backends: a seed-pinned kill/restart schedule under
-// sustained zipf load, with phase-split accounting and the per-peer
-// health timeline uploaded as artifacts.
+// against both store configurations: a seed-pinned kill/restart
+// schedule under sustained zipf load, with phase-split accounting and
+// the per-peer health timeline uploaded as artifacts.
 //
 // THERMOSC_CHURN_REQUESTS scales the request count;
 // THERMOSC_CHURN_REPORT / THERMOSC_CHURN_TIMELINE name artifact files;
-// THERMOSC_CLUSTER_STORE selects the PlanStore backend (mem or file).
+// THERMOSC_CLUSTER_STORE selects the store configuration (mem, or file
+// for a store with a log).
 func TestClusterChurnSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn soak is not a -short test")

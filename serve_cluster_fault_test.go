@@ -14,9 +14,9 @@ import (
 )
 
 // The fault-tolerance suite: a static ring survives replica death by
-// re-routing (every key stays answerable), a restarted replica warms
-// back up from a snapshot, and a partitioned replica rejoins gossip and
-// converges.
+// re-routing (every key stays answerable), a restarted replica recovers
+// its plans from its store's log, and a partitioned replica rejoins
+// gossip and converges.
 
 // Killing a replica must not take its keys down: forwarding fails over
 // to a local solve on whichever replica got the request, and the whole
@@ -87,67 +87,6 @@ func TestClusterReplicaFailureReroute(t *testing.T) {
 		t.Fatalf("p99 %.3fs with one replica down exceeds the 20 s bound", report.LatencyP99S)
 	}
 	sumInvariant(t, tc)
-}
-
-// A restarted replica comes back cold; restoring a peer's warm-export
-// snapshot refills its store so it serves cached plans immediately.
-func TestClusterSnapshotRestoreAfterRestart(t *testing.T) {
-	tc := startTestCluster(t, 3, 0, nil)
-	byOwner := bodiesByOwner(t, tc)
-	for owner, body := range byOwner {
-		if status, _ := postMaximize(t, owner, body); status != http.StatusOK {
-			t.Fatalf("seeding solve on %s failed", owner)
-		}
-	}
-	tc.syncAll(t)
-
-	snap, err := tc.srvs[0].ClusterSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantEntries := tc.srvs[0].cluster.store.Len()
-	if wantEntries < 3 {
-		t.Fatalf("snapshot covers only %d entries", wantEntries)
-	}
-	refPlans := make(map[string][]byte)
-	for owner, body := range byOwner {
-		_, mr := postMaximize(t, owner, body)
-		refPlans[body] = mr.Plan
-	}
-
-	victim := 2
-	tc.stopReplica(victim)
-	tc.restartReplica(t, victim, ServerConfig{}, 0)
-
-	if got := tc.srvs[victim].cluster.store.Len(); got != 0 {
-		t.Fatalf("restarted replica store has %d entries, want 0 (cold)", got)
-	}
-	resp, err := http.Post(tc.urls[victim]+"/v1/cluster/restore", "application/json", bytes.NewReader(snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("restore: HTTP %d", resp.StatusCode)
-	}
-	if got := tc.srvs[victim].cluster.store.Len(); got != wantEntries {
-		t.Fatalf("restored store has %d entries, want %d", got, wantEntries)
-	}
-
-	// Every seeded key now serves from the restored store — cached, and
-	// byte-identical to the pre-restart plans.
-	for body, want := range refPlans {
-		status, mr := postMaximize(t, tc.urls[victim], body)
-		if status != http.StatusOK {
-			t.Fatalf("post-restore serve: HTTP %d", status)
-		}
-		if !mr.Cached {
-			t.Fatal("post-restore serve was a cold solve, not a store hit")
-		}
-		if !bytes.Equal(mr.Plan, want) {
-			t.Fatal("post-restore plan differs from the pre-restart plan")
-		}
-	}
 }
 
 // A partitioned replica rejects sync (503), the initiator counts the
@@ -261,16 +200,13 @@ func TestClusterGossipFailoverOnDeadPeer(t *testing.T) {
 	}
 }
 
-// The file-backed store survives kill-and-restart: a restarted replica
-// recovers its replicated plans from its own log — no peer snapshot —
-// and serves them byte-identical to the pre-kill plans.
+// A store with a log survives kill-and-restart: a restarted replica
+// recovers its replicated plans from its own log — no peer needed — and
+// serves them byte-identical to the pre-kill plans.
 func TestClusterFileStoreKillRestart(t *testing.T) {
 	dir := t.TempDir()
 	mutate := func(i int, cfg *ServerConfig) {
-		cfg.Cluster = &ClusterConfig{
-			StoreBackend: "file",
-			StorePath:    filepath.Join(dir, fmt.Sprintf("replica%d.log", i)),
-		}
+		cfg.Cluster = &ClusterConfig{StorePath: filepath.Join(dir, fmt.Sprintf("replica%d.log", i))}
 	}
 	tc := startTestCluster(t, 3, 0, mutate)
 	byOwner := bodiesByOwner(t, tc)
@@ -304,9 +240,7 @@ func TestClusterFileStoreKillRestart(t *testing.T) {
 		t.Fatal("restarted store diverges from the pre-kill state")
 	}
 	// Every seeded key serves from the recovered store — cached, and
-	// byte-identical to the pre-kill plan. (The snapshot-restore path in
-	// TestClusterSnapshotRestoreAfterRestart needed a peer for this;
-	// here the replica recovers alone.)
+	// byte-identical to the pre-kill plan.
 	for body, want := range refPlans {
 		status, mr := postMaximize(t, tc.urls[victim], body)
 		if status != http.StatusOK {

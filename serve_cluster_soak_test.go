@@ -30,8 +30,8 @@ import (
 //
 // THERMOSC_CLUSTER_REQUESTS scales the request count (CI runs 100k);
 // THERMOSC_CLUSTER_REPORT names a file for the load report artifact;
-// THERMOSC_CLUSTER_STORE selects the PlanStore backend (mem or file —
-// CI runs the soak once per backend).
+// THERMOSC_CLUSTER_STORE selects the store configuration (mem, or file
+// for a store with a log — CI runs the soak once per configuration).
 func TestClusterSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster soak is not a -short test")

@@ -21,7 +21,7 @@ import (
 // routing of canonical request keys across replicas, a replicated plan
 // store, a forwarding proxy so any replica answers any key,
 // gossip-driven anti-entropy between peers, and the cluster
-// status/sync/snapshot endpoints. See docs/CLUSTER.md.
+// status/sync/drain endpoints. See docs/CLUSTER.md.
 //
 // Serving layers for a /v1/maximize key, in order:
 //
@@ -74,9 +74,6 @@ type ClusterConfig struct {
 	// deduplicated union of Self and Peers, so every replica derives the
 	// same membership from its own flags.
 	Peers []string
-	// VirtualNodes is the per-node virtual point count on the ring
-	// (default cluster.DefaultVirtualNodes).
-	VirtualNodes int
 	// SyncInterval is the anti-entropy gossip period; each tick syncs
 	// with one peer round-robin. 0 disables the background loop (tests
 	// drive rounds explicitly; a 3-node fleet converges within two
@@ -85,12 +82,9 @@ type ClusterConfig struct {
 	// StoreCap bounds the replicated plan store (default
 	// cluster.DefaultStoreCap entries, FIFO eviction).
 	StoreCap int
-	// StoreBackend selects the replicated plan store implementation:
-	// "mem" (default) or "file" (append-only durable log; see
-	// cluster.FileStore). docs/CLUSTER.md has the trade-off matrix.
-	StoreBackend string
-	// StorePath is the log path for the "file" backend (required with
-	// it, rejected otherwise).
+	// StorePath, when set, gives the plan store a crash-safe append-only
+	// log there (see cluster.Store); empty keeps the store in memory
+	// only. docs/CLUSTER.md has the trade-off.
 	StorePath string
 
 	// ProbeInterval is the failure detector's dedicated /healthz probe
@@ -117,14 +111,8 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 		}
 	}
 	c.Peers = peers
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = cluster.DefaultVirtualNodes
-	}
 	if c.StoreCap <= 0 {
 		c.StoreCap = cluster.DefaultStoreCap
-	}
-	if c.StoreBackend == "" {
-		c.StoreBackend = "mem"
 	}
 	return c
 }
@@ -133,7 +121,7 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 type serveCluster struct {
 	cfg    ClusterConfig
 	ring   *cluster.Ring
-	store  cluster.PlanStore
+	store  *cluster.Store
 	client *http.Client
 	// health is the failure detector (health.go): every peer contact —
 	// dedicated probe, gossip round, forward transport failure — feeds
@@ -184,22 +172,13 @@ type peerSyncState struct {
 	fails uint64
 }
 
-// newClusterStore builds the configured PlanStore backend.
-func newClusterStore(cfg ClusterConfig) (cluster.PlanStore, error) {
-	switch cfg.StoreBackend {
-	case "mem":
-		if cfg.StorePath != "" {
-			return nil, fmt.Errorf("cluster: store path %q given but backend is %q", cfg.StorePath, cfg.StoreBackend)
-		}
+// newClusterStore builds the plan store, with a log when StorePath is
+// set.
+func newClusterStore(cfg ClusterConfig) (*cluster.Store, error) {
+	if cfg.StorePath == "" {
 		return cluster.NewMemStore(cfg.StoreCap), nil
-	case "file":
-		if cfg.StorePath == "" {
-			return nil, fmt.Errorf("cluster: the file store backend requires a store path")
-		}
-		return cluster.NewFileStore(cfg.StorePath, cfg.StoreCap)
-	default:
-		return nil, fmt.Errorf("cluster: unknown store backend %q (want mem or file)", cfg.StoreBackend)
 	}
+	return cluster.NewFileStore(cfg.StorePath, cfg.StoreCap)
 }
 
 // newServeCluster validates and builds the fleet state; a nil return
@@ -215,7 +194,7 @@ func newServeCluster(cfg ClusterConfig) (*serveCluster, error) {
 	}
 	c := &serveCluster{
 		cfg:   cfg,
-		ring:  cluster.NewRing(append([]string{cfg.Self}, cfg.Peers...), cfg.VirtualNodes),
+		ring:  cluster.NewRing(append([]string{cfg.Self}, cfg.Peers...), cluster.DefaultVirtualNodes),
 		store: store,
 		client: &http.Client{
 			// Forwarding and gossip reuse connections to a handful of
@@ -385,16 +364,6 @@ func (c *serveCluster) stopLoops() {
 	c.loops.Wait()
 }
 
-// closeStore releases the plan store's resources (the file backend's
-// log handle). Call after the gossip loop has stopped and in-flight
-// requests have drained; reads keep working afterwards.
-func (c *serveCluster) closeStore() error {
-	if fs, ok := c.store.(*cluster.FileStore); ok {
-		return fs.Close()
-	}
-	return nil
-}
-
 func (c *serveCluster) nextPeer() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -542,8 +511,8 @@ func (s *Server) clusterServed(source string) {
 // lookupPlan finds planKey in the plan cache that can hold it (layer 1):
 // in cluster mode the replicated store first, then the process LRU;
 // single-process the LRU alone. A store hit for a key another replica
-// owns is labelled a peer fetch: its bytes arrived via gossip, a
-// snapshot restore, or a forward to the owner.
+// owns is labelled a peer fetch: its bytes arrived via gossip, a sync
+// push, or a forward to the owner.
 func (s *Server) lookupPlan(planKey string) (cachedPlan, string, bool) {
 	if s.cluster != nil {
 		if ce, ok := s.cluster.store.Get(planKey); ok {
@@ -714,7 +683,7 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 	st := ClusterStatus{
 		Self:         c.cfg.Self,
 		Nodes:        c.ring.Nodes(),
-		VirtualNodes: c.cfg.VirtualNodes,
+		VirtualNodes: cluster.DefaultVirtualNodes,
 		Draining:     c.draining.Load(),
 		Counters:     *c.statsSnapshot(),
 	}
@@ -888,57 +857,6 @@ func (s *Server) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
 		"targets":       targets,
 		"push_failures": failures,
 	})
-}
-
-func (s *Server) handleClusterSnapshot(w http.ResponseWriter, r *http.Request) {
-	b, err := s.ClusterSnapshot()
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error(), Code: "bad_request"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b)
-}
-
-func (s *Server) handleClusterRestore(w http.ResponseWriter, r *http.Request) {
-	if s.cluster == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "clustering is not enabled", Code: "bad_request"})
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSyncBodyBytes))
-	if err != nil {
-		writeError(w, badRequestf("reading snapshot body: %v", err))
-		return
-	}
-	n, err := s.ClusterRestore(body)
-	if err != nil {
-		writeError(w, badRequestf("%v", err))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"restored": n, "store_size": s.cluster.store.Len()})
-}
-
-// ClusterSnapshot exports the replicated plan store in the warm-export
-// format (the body of GET /v1/cluster/snapshot; thermosc-serve's
-// -warm-export writes it to disk on shutdown). Errors when clustering
-// is disabled.
-func (s *Server) ClusterSnapshot() ([]byte, error) {
-	if s.cluster == nil {
-		return nil, fmt.Errorf("thermosc: clustering is not enabled")
-	}
-	return cluster.EncodeSnapshot(s.cluster.store)
-}
-
-// ClusterRestore loads a warm-export snapshot into the replicated plan
-// store (the body of POST /v1/cluster/restore; thermosc-serve's
-// -warm-restore loads one at startup). Returns how many entries were
-// newly added.
-func (s *Server) ClusterRestore(snapshot []byte) (int, error) {
-	if s.cluster == nil {
-		return 0, fmt.Errorf("thermosc: clustering is not enabled")
-	}
-	return cluster.Restore(s.cluster.store, snapshot)
 }
 
 // CloseIdlePeerConnections drops the cluster HTTP client's pooled idle

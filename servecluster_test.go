@@ -13,6 +13,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"thermosc/internal/cluster"
 )
 
 // testCluster is an in-process replica fleet: n Servers, each with its
@@ -65,7 +67,7 @@ func (tc *testCluster) startReplica(t *testing.T, i int, ln net.Listener, cfg Se
 	}
 	cc := &ClusterConfig{}
 	if cfg.Cluster != nil {
-		// mutate may pre-set store-backend and health knobs; topology
+		// mutate may pre-set the store path and health knobs; topology
 		// stays ours.
 		*cc = *cfg.Cluster
 	}
@@ -78,9 +80,9 @@ func (tc *testCluster) startReplica(t *testing.T, i int, ln net.Listener, cfg Se
 }
 
 // storeBackendMutate honors THERMOSC_CLUSTER_STORE so the soak suite
-// runs once per PlanStore backend: "file" points every replica's store
-// at an append-only log under a per-test temp dir; empty or "mem"
-// keeps the in-memory default.
+// runs once per store configuration: "file" gives every replica's store
+// an append-only log under a per-test temp dir; empty or "mem" keeps
+// the store in memory only.
 func storeBackendMutate(t *testing.T) func(i int, cfg *ServerConfig) {
 	t.Helper()
 	switch backend := os.Getenv("THERMOSC_CLUSTER_STORE"); backend {
@@ -89,10 +91,7 @@ func storeBackendMutate(t *testing.T) func(i int, cfg *ServerConfig) {
 	case "file":
 		dir := t.TempDir()
 		return func(i int, cfg *ServerConfig) {
-			cfg.Cluster = &ClusterConfig{
-				StoreBackend: "file",
-				StorePath:    filepath.Join(dir, fmt.Sprintf("replica%d.log", i)),
-			}
+			cfg.Cluster = &ClusterConfig{StorePath: filepath.Join(dir, fmt.Sprintf("replica%d.log", i))}
 		}
 	default:
 		t.Fatalf("bad THERMOSC_CLUSTER_STORE %q (want mem or file)", backend)
@@ -448,8 +447,8 @@ func TestClusterStatusAndFleetEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Self != tc.urls[0] || len(st.Nodes) != 3 || len(st.Peers) != 2 {
-		t.Fatalf("status topology: self=%q nodes=%v peers=%v", st.Self, st.Nodes, st.Peers)
+	if st.Self != tc.urls[0] || len(st.Nodes) != 3 || len(st.Peers) != 2 || st.VirtualNodes != 64 {
+		t.Fatalf("status topology: self=%q nodes=%v peers=%v virtual_nodes=%d", st.Self, st.Nodes, st.Peers, st.VirtualNodes)
 	}
 	if st.Fleet == nil {
 		t.Fatal("?fleet=1 returned no fleet block")
@@ -465,57 +464,71 @@ func TestClusterStatusAndFleetEndpoint(t *testing.T) {
 	}
 }
 
-func TestClusterSnapshotRestoreEndpoints(t *testing.T) {
+// postSync posts one sync message and decodes a 200 reply.
+func postSync(t *testing.T, url, body string) (int, cluster.SyncResponse) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/cluster/sync", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatalf("POST %s/v1/cluster/sync: %v", url, err)
+	}
+	defer resp.Body.Close()
+	var sr cluster.SyncResponse
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, sr
+}
+
+// The sync endpoint is the store's export and import: a pull with an
+// empty digest returns every entry, key-sorted, and a push of those
+// entries loads a fresh replica, which then serves them cached and
+// byte-identical. A malformed message is a 400.
+func TestClusterSyncExportImport(t *testing.T) {
 	tc := startTestCluster(t, 2, 0, nil)
-	byOwner := bodiesByOwner(t, tc)
-	for owner, body := range byOwner {
-		if status, _ := postMaximize(t, owner, body); status != http.StatusOK {
+	refPlans := make(map[string][]byte)
+	for owner, body := range bodiesByOwner(t, tc) {
+		status, mr := postMaximize(t, owner, body)
+		if status != http.StatusOK {
 			t.Fatalf("solve on %s: HTTP %d", owner, status)
 		}
+		refPlans[body] = mr.Plan
 	}
 	tc.syncAll(t)
 
-	resp, err := http.Get(tc.urls[0] + "/v1/cluster/snapshot")
-	if err != nil {
-		t.Fatal(err)
+	status, export := postSync(t, tc.urls[0], `{"digest":{}}`)
+	want := tc.srvs[0].cluster.store.Entries()
+	if status != http.StatusOK || len(export.Entries) != len(want) || len(want) < len(refPlans) {
+		t.Fatalf("export: HTTP %d, %d entries, want all %d", status, len(export.Entries), len(want))
 	}
-	snap, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot: HTTP %d, %v", resp.StatusCode, err)
+	for i, e := range export.Entries {
+		if e.Key != want[i].Key || !bytes.Equal(e.Plan, want[i].Plan) || (i > 0 && e.Key <= export.Entries[i-1].Key) {
+			t.Fatalf("export entry %d differs from the key-sorted store", i)
+		}
 	}
 
-	// Restore into a fresh single replica and verify the entries landed.
 	fresh := NewServer(ServerConfig{Cluster: &ClusterConfig{Self: "http://fresh.invalid"}})
-	n, err := fresh.ClusterRestore(snap)
-	if err != nil || n != tc.srvs[0].cluster.store.Len() {
-		t.Fatalf("restore: n=%d err=%v (store %d)", n, err, tc.srvs[0].cluster.store.Len())
-	}
-	// The HTTP restore path agrees (0 new entries into the converged
-	// replica 1).
-	post, err := http.Post(tc.urls[1]+"/v1/cluster/restore", "application/json", bytes.NewReader(snap))
+	ts := httptest.NewServer(fresh)
+	t.Cleanup(func() {
+		ts.Close()
+		_ = fresh.Shutdown(context.Background())
+	})
+	push, err := json.Marshal(cluster.SyncRequest{Entries: export.Entries})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer post.Body.Close()
-	var out struct {
-		Restored  int `json:"restored"`
-		StoreSize int `json:"store_size"`
+	if status, imported := postSync(t, ts.URL, string(push)); status != http.StatusOK || imported.Applied != len(want) {
+		t.Fatalf("import: HTTP %d, applied %d of %d", status, imported.Applied, len(want))
 	}
-	if err := json.NewDecoder(post.Body).Decode(&out); err != nil || post.StatusCode != http.StatusOK {
-		t.Fatalf("restore endpoint: HTTP %d, %v", post.StatusCode, err)
+	for body, plan := range refPlans {
+		status, mr := postMaximize(t, ts.URL, body)
+		if status != http.StatusOK || !mr.Cached || !bytes.Equal(mr.Plan, plan) {
+			t.Fatalf("imported key: HTTP %d cached=%v, byte-identical=%v", status, mr.Cached, bytes.Equal(mr.Plan, plan))
+		}
 	}
-	if out.Restored != 0 || out.StoreSize != n {
-		t.Fatalf("restore endpoint: %+v, want 0 new of %d", out, n)
-	}
-	// Corrupt snapshots are a 400, never a panic.
-	bad, err := http.Post(tc.urls[1]+"/v1/cluster/restore", "application/json", bytes.NewReader([]byte(`{"version":9}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("corrupt restore: HTTP %d, want 400", bad.StatusCode)
+	if status, _ := postSync(t, ts.URL, `{"digest":{},"version":1}`); status != http.StatusBadRequest {
+		t.Fatalf("malformed sync: HTTP %d, want 400", status)
 	}
 }
 

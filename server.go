@@ -195,8 +195,6 @@ func NewServer(cfg ServerConfig) *Server {
 	s.mux.HandleFunc("GET /metrics", s.handleStats)
 	s.mux.HandleFunc("GET /v1/cluster", s.handleClusterStatus)
 	s.mux.HandleFunc("POST /v1/cluster/sync", s.handleClusterSync)
-	s.mux.HandleFunc("GET /v1/cluster/snapshot", s.handleClusterSnapshot)
-	s.mux.HandleFunc("POST /v1/cluster/restore", s.handleClusterRestore)
 	s.mux.HandleFunc("POST /v1/cluster/drain", s.handleClusterDrain)
 	return s
 }
@@ -258,7 +256,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 		if s.cluster != nil {
-			return s.cluster.closeStore() // drained: safe to release the store's log
+			return s.cluster.store.Close() // drained: safe to close the store's log
 		}
 		return nil
 	case <-ctx.Done():
