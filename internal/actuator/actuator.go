@@ -16,7 +16,6 @@ import (
 	"math"
 	"sort"
 
-	"thermosc/internal/mat"
 	"thermosc/internal/power"
 	"thermosc/internal/rt"
 	"thermosc/internal/schedule"
@@ -188,25 +187,4 @@ func ExecutedSpeedProfiles(s *schedule.Schedule, o power.TransitionOverhead) ([]
 		out[i] = prof
 	}
 	return out, nil
-}
-
-// Replay simulates nPeriods of the EXECUTED timeline from ambient and
-// returns the hottest observed core temperature — a cold-start check that
-// complements the stable-status peak in ExecReport.
-func Replay(md *thermal.Model, s *schedule.Schedule, o power.TransitionOverhead, nPeriods int) (float64, error) {
-	if s.NumCores() != md.NumCores() {
-		return 0, fmt.Errorf("actuator: schedule has %d cores, model %d", s.NumCores(), md.NumCores())
-	}
-	exec, _, err := buildExecuted(s, o)
-	if err != nil {
-		return 0, err
-	}
-	tr := sim.Transient(md, exec, md.ZeroState(), nPeriods, 8)
-	peak := math.Inf(-1)
-	for _, state := range tr.Temps {
-		if p, _ := mat.VecMax(md.CoreTemps(state)); p > peak {
-			peak = p
-		}
-	}
-	return md.Absolute(peak), nil
 }

@@ -1,11 +1,14 @@
 package actuator
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"thermosc/internal/mat"
 	"thermosc/internal/power"
 	"thermosc/internal/schedule"
+	"thermosc/internal/sim"
 	"thermosc/internal/solver"
 	"thermosc/internal/thermal"
 )
@@ -232,7 +235,25 @@ func TestExecuteDimensionMismatch(t *testing.T) {
 	if _, err := Execute(md, s, power.TransitionOverhead{}); err == nil {
 		t.Fatal("core count mismatch must error")
 	}
-	if _, err := Replay(md, s, power.TransitionOverhead{}, 1); err == nil {
-		t.Fatal("core count mismatch must error")
+}
+
+// Replay simulates nPeriods of the EXECUTED timeline from ambient and
+// returns the hottest observed core temperature — a cold-start check that
+// complements the stable-status peak in ExecReport.
+func Replay(md *thermal.Model, s *schedule.Schedule, o power.TransitionOverhead, nPeriods int) (float64, error) {
+	if s.NumCores() != md.NumCores() {
+		return 0, fmt.Errorf("actuator: schedule has %d cores, model %d", s.NumCores(), md.NumCores())
 	}
+	exec, _, err := buildExecuted(s, o)
+	if err != nil {
+		return 0, err
+	}
+	tr := sim.Transient(md, exec, md.ZeroState(), nPeriods, 8)
+	peak := math.Inf(-1)
+	for _, state := range tr.Temps {
+		if p, _ := mat.VecMax(md.CoreTemps(state)); p > peak {
+			peak = p
+		}
+	}
+	return md.Absolute(peak), nil
 }

@@ -138,19 +138,10 @@ func (r *Ring) Nodes() []string {
 	return append([]string(nil), r.nodes...)
 }
 
-// Size returns the number of member nodes.
-func (r *Ring) Size() int { return len(r.nodes) }
-
 // Contains reports whether node is a ring member.
 func (r *Ring) Contains(node string) bool {
 	i := sort.SearchStrings(r.nodes, node)
 	return i < len(r.nodes) && r.nodes[i] == node
-}
-
-// WithNode returns a new ring with node added (the receiver is
-// unchanged). Adding an existing member returns an equivalent ring.
-func (r *Ring) WithNode(node string) *Ring {
-	return NewRing(append(r.Nodes(), node), r.vnodes)
 }
 
 // WithoutNode returns a new ring with node removed (the receiver is

@@ -190,3 +190,12 @@ func TestRingEdgeCases(t *testing.T) {
 		t.Fatalf("removing the last node left owners behind")
 	}
 }
+
+// Size returns the number of member nodes.
+func (r *Ring) Size() int { return len(r.nodes) }
+
+// WithNode returns a new ring with node added (the receiver is
+// unchanged). Adding an existing member returns an equivalent ring.
+func (r *Ring) WithNode(node string) *Ring {
+	return NewRing(append(r.Nodes(), node), r.vnodes)
+}

@@ -116,9 +116,11 @@ type Store struct {
 
 	// logMu serializes appends and Close, so readers never wait on an
 	// fsync. log is nil without a log; it is set before the store is
-	// shared and never replaced.
+	// shared and never replaced. logEnd is the log's size after the last
+	// good append.
 	logMu  sync.Mutex
 	log    *os.File
+	logEnd int64
 	closed bool
 }
 
@@ -150,6 +152,11 @@ func NewFileStore(path string, capacity int) (*Store, error) {
 	lines, err := s.replay(f)
 	if err == nil && lines > s.Len() {
 		f, err = s.compact(f, path)
+	}
+	if err == nil {
+		if s.logEnd, err = f.Seek(0, io.SeekCurrent); err != nil {
+			err = fmt.Errorf("cluster: seeking plan store log: %w", err)
+		}
 	}
 	if err != nil {
 		f.Close()
@@ -307,7 +314,8 @@ func (s *Store) Get(key string) (Entry, bool) {
 // entries and keys already present return false (first write wins).
 // With a log, an accepted entry is on disk before it becomes visible; a
 // failed append, or a Put after Close, stores nothing and returns false,
-// and gossip re-delivers the entry later.
+// and gossip re-delivers the entry later. A failed append leaves the log
+// as it was before it, so later appends and the next open still work.
 func (s *Store) Put(e Entry) bool {
 	if e.Validate() != nil {
 		return false
@@ -336,11 +344,32 @@ func (s *Store) Put(e Entry) bool {
 	return true
 }
 
+// appendLog writes and fsyncs e's line at logEnd. When the write or the
+// fsync fails, the line may be partly on disk: the log is truncated back
+// to logEnd, and the offset seeks back with it (the log is not opened
+// O_APPEND), so the next line does not follow a partial one. If that
+// fails too, the log is closed and every later Put returns false, as
+// after Close.
 func (s *Store) appendLog(e Entry) error {
-	if _, err := s.log.Write(logLine(e)); err != nil {
-		return err
+	line := logLine(e)
+	_, err := s.log.Write(line)
+	if err == nil {
+		err = s.log.Sync()
 	}
-	return s.log.Sync()
+	if err == nil {
+		s.logEnd += int64(len(line))
+		return nil
+	}
+	rerr := s.log.Truncate(s.logEnd)
+	if rerr == nil {
+		_, rerr = s.log.Seek(s.logEnd, io.SeekStart)
+	}
+	if rerr != nil {
+		s.closed = true
+		s.log.Close()
+		return errors.Join(err, rerr)
+	}
+	return err
 }
 
 // Len returns the number of stored entries.

@@ -46,9 +46,6 @@ func (f *Floorplan) NumCores() int { return f.RowsN * f.ColsN }
 // CoreArea returns the area of a single core in m².
 func (f *Floorplan) CoreArea() float64 { return f.CoreEdge * f.CoreEdge }
 
-// ChipArea returns the total die area in m².
-func (f *Floorplan) ChipArea() float64 { return f.CoreArea() * float64(f.NumCores()) }
-
 // Position returns the grid row and column of core i.
 func (f *Floorplan) Position(i int) (row, col int) {
 	f.checkIndex(i)

@@ -39,9 +39,6 @@ func TestAreasAndCounts(t *testing.T) {
 	if math.Abs(f.CoreArea()-16e-6) > 1e-12 {
 		t.Fatalf("CoreArea = %v", f.CoreArea())
 	}
-	if math.Abs(f.ChipArea()-96e-6) > 1e-12 {
-		t.Fatalf("ChipArea = %v", f.ChipArea())
-	}
 }
 
 func TestPositionIndexRoundTrip(t *testing.T) {

@@ -108,14 +108,3 @@ func InverseSPD(a *Dense) (*Dense, error) {
 	}
 	return c.SolveMat(Eye(a.rows))
 }
-
-// LogDet returns log(det A) = 2·Σ log L_ii, numerically robust for the
-// tiny determinants long-time-constant thermal systems produce.
-func (c *Cholesky) LogDet() float64 {
-	n := c.l.rows
-	var s float64
-	for i := 0; i < n; i++ {
-		s += math.Log(c.l.data[i*n+i])
-	}
-	return 2 * s
-}

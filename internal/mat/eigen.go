@@ -59,11 +59,6 @@ func DecomposeSymmetrizable(dDiag []float64, m *Dense) (*Symmetrizable, error) {
 // N returns the dimension of the decomposed matrix.
 func (e *Symmetrizable) N() int { return e.n }
 
-// Matrix reconstructs A = W·diag(Lambda)·W⁻¹ (mainly for testing).
-func (e *Symmetrizable) Matrix() *Dense {
-	return e.W.MulDiagRight(e.Lambda).Mul(e.Winv)
-}
-
 // ExpAt returns e^{A·t} as a dense matrix.
 func (e *Symmetrizable) ExpAt(t float64) *Dense {
 	expL := make([]float64, e.n)
@@ -71,16 +66,6 @@ func (e *Symmetrizable) ExpAt(t float64) *Dense {
 		expL[i] = math.Exp(l * t)
 	}
 	return e.W.MulDiagRight(expL).Mul(e.Winv)
-}
-
-// ExpAtVec returns e^{A·t}·x without forming the full exponential:
-// y = W·diag(e^{λt})·W⁻¹·x in O(n²).
-func (e *Symmetrizable) ExpAtVec(t float64, x []float64) []float64 {
-	y := e.Winv.MulVec(x)
-	for i, l := range e.Lambda {
-		y[i] *= math.Exp(l * t)
-	}
-	return e.W.MulVec(y)
 }
 
 // ExpLambda returns the diagonal propagator factors exp(λ_i·t) of e^{A·t}
@@ -136,17 +121,6 @@ func (e *Symmetrizable) ExpLambdaTo(dst []float64, t float64) []float64 {
 		dst[i] = math.Exp(l * t)
 	}
 	return dst
-}
-
-// PhiVec returns (I − e^{A·t})·x in O(n²). This is the coefficient of the
-// steady-state target T∞ in the transient solution (paper eq. (3)).
-func (e *Symmetrizable) PhiVec(t float64, x []float64) []float64 {
-	y := e.Winv.MulVec(x)
-	for i, l := range e.Lambda {
-		// Use expm1 for accuracy when λ·t is tiny: 1 − e^{λt} = −expm1(λt).
-		y[i] *= -math.Expm1(l * t)
-	}
-	return e.W.MulVec(y)
 }
 
 // StepVec advances the state by one interval of length t toward the

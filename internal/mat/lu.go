@@ -165,16 +165,6 @@ func (f *LU) SolveMat(b *Dense) (*Dense, error) {
 	return out, nil
 }
 
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	n := f.lu.rows
-	det := float64(f.sign)
-	for i := 0; i < n; i++ {
-		det *= f.lu.data[i*n+i]
-	}
-	return det
-}
-
 // Solve solves a·x = b for x. For repeated solves against the same matrix,
 // Factorize once and reuse the LU.
 func Solve(a *Dense, b []float64) ([]float64, error) {
@@ -183,13 +173,4 @@ func Solve(a *Dense, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.SolveVec(b)
-}
-
-// Inverse returns the inverse of a.
-func Inverse(a *Dense) (*Dense, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveMat(Eye(a.rows))
 }

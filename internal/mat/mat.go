@@ -30,30 +30,11 @@ func NewDense(r, c int) *Dense {
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
-// NewDenseData returns an r×c matrix backed by data (not copied).
-// len(data) must equal r*c.
-func NewDenseData(r, c int, data []float64) *Dense {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("mat: data length %d does not match %d×%d", len(data), r, c))
-	}
-	return &Dense{rows: r, cols: c, data: data}
-}
-
 // Eye returns the n×n identity matrix.
 func Eye(n int) *Dense {
 	m := NewDense(n, n)
 	for i := 0; i < n; i++ {
 		m.data[i*n+i] = 1
-	}
-	return m
-}
-
-// DiagOf returns the n×n diagonal matrix with the given diagonal entries.
-func DiagOf(d []float64) *Dense {
-	n := len(d)
-	m := NewDense(n, n)
-	for i, v := range d {
-		m.data[i*n+i] = v
 	}
 	return m
 }
@@ -80,22 +61,6 @@ func (m *Dense) Add(i, j int, v float64) { m.data[i*m.cols+j] += v }
 // matrix; callers that need isolation should Clone first.
 func (m *Dense) RawData() []float64 { return m.data }
 
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // Diag returns a copy of the main diagonal.
 func (m *Dense) Diag() []float64 {
 	n := m.rows
@@ -114,21 +79,6 @@ func (m *Dense) Clone() *Dense {
 	d := make([]float64, len(m.data))
 	copy(d, m.data)
 	return &Dense{rows: m.rows, cols: m.cols, data: d}
-}
-
-// CopyFrom overwrites m with the contents of src (dimensions must match).
-func (m *Dense) CopyFrom(src *Dense) {
-	if m.rows != src.rows || m.cols != src.cols {
-		panic("mat: CopyFrom dimension mismatch")
-	}
-	copy(m.data, src.data)
-}
-
-// Zero sets every element of m to zero.
-func (m *Dense) Zero() {
-	for i := range m.data {
-		m.data[i] = 0
-	}
 }
 
 // T returns the transpose of m as a new matrix.
@@ -168,15 +118,6 @@ func (m *Dense) SubM(b *Dense) *Dense {
 		out.data[i] -= v
 	}
 	return out
-}
-
-// AddInPlace adds b to m in place and returns m.
-func (m *Dense) AddInPlace(b *Dense) *Dense {
-	checkSameDims(m, b, "AddInPlace")
-	for i, v := range b.data {
-		m.data[i] += v
-	}
-	return m
 }
 
 // SubInPlace subtracts b from m in place and returns m.
@@ -326,17 +267,6 @@ func (m *Dense) NormFrob() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element of m.
-func (m *Dense) MaxAbs() float64 {
-	var max float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 // IsSquare reports whether m is square.

@@ -52,9 +52,6 @@ func NewCSRFromDense(d *Dense) *CSR {
 // Dims returns the row and column counts.
 func (a *CSR) Dims() (r, c int) { return a.rows, a.cols }
 
-// NNZ returns the number of stored entries.
-func (a *CSR) NNZ() int { return len(a.val) }
-
 // At returns the element at row i, column j (0 when not stored). It is a
 // binary search over the row — meant for tests and assembly checks, not
 // for inner loops.
@@ -153,15 +150,4 @@ func (a *CSR) Trace() float64 {
 		t += a.At(i, i)
 	}
 	return t
-}
-
-// ToDense expands a back into a dense matrix (tests and debugging).
-func (a *CSR) ToDense() *Dense {
-	d := NewDense(a.rows, a.cols)
-	for i := 0; i < a.rows; i++ {
-		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
-			d.Set(i, a.colIdx[p], a.val[p])
-		}
-	}
-	return d
 }

@@ -158,9 +158,6 @@ func etree(a *CSR) []int {
 // N returns the matrix dimension.
 func (ch *SparseCholesky) N() int { return ch.n }
 
-// NNZ returns the stored entry count of L including the diagonal.
-func (ch *SparseCholesky) NNZ() int { return len(ch.val) + ch.n }
-
 // SolveVecTo solves A·x = b into dst and returns dst. dst may alias b.
 func (ch *SparseCholesky) SolveVecTo(dst, b []float64) []float64 {
 	if len(b) != ch.n || len(dst) != ch.n {

@@ -41,15 +41,6 @@ func VecAddInPlace(x, y []float64) []float64 {
 	return x
 }
 
-// VecScale returns s·x as a new vector.
-func VecScale(s float64, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = s * x[i]
-	}
-	return out
-}
-
 // VecAXPY computes x += s·y in place and returns x.
 func VecAXPY(x []float64, s float64, y []float64) []float64 {
 	checkSameLen(x, y)
@@ -57,16 +48,6 @@ func VecAXPY(x []float64, s float64, y []float64) []float64 {
 		x[i] += s * y[i]
 	}
 	return x
-}
-
-// VecDot returns the inner product of x and y.
-func VecDot(x, y []float64) float64 {
-	checkSameLen(x, y)
-	var s float64
-	for i := range x {
-		s += x[i] * y[i]
-	}
-	return s
 }
 
 // VecMax returns the largest element of x and its index.
@@ -78,21 +59,6 @@ func VecMax(x []float64) (float64, int) {
 	best, idx := x[0], 0
 	for i, v := range x[1:] {
 		if v > best {
-			best, idx = v, i+1
-		}
-	}
-	return best, idx
-}
-
-// VecMin returns the smallest element of x and its index.
-// It panics on an empty vector.
-func VecMin(x []float64) (float64, int) {
-	if len(x) == 0 {
-		panic("mat: VecMin of empty vector")
-	}
-	best, idx := x[0], 0
-	for i, v := range x[1:] {
-		if v < best {
 			best, idx = v, i+1
 		}
 	}
@@ -117,15 +83,6 @@ func VecNormInf(x []float64) float64 {
 		}
 	}
 	return max
-}
-
-// VecNorm2 returns the Euclidean norm of x.
-func VecNorm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // VecEqual reports whether x and y have the same length and all elements

@@ -91,15 +91,6 @@ func (p Model) Static(m Mode) float64 {
 	return p.Alpha + p.AlphaV*v + p.Gamma*v*v*v
 }
 
-// Total returns the full power of an active core at voltage v and
-// temperature tRise above ambient: Static(v) + β·tRise.
-func (p Model) Total(m Mode, tRise float64) float64 {
-	if m.IsOff() {
-		return 0
-	}
-	return p.Static(m) + p.Beta*tRise
-}
-
 // VoltageForStatic inverts Static: it returns the voltage v ≥ 0 such that
 // ψ(v) = want. It returns an error if want is below the power floor of the
 // lowest usable voltage (i.e. no non-negative voltage achieves it).

@@ -38,17 +38,6 @@ func TestStaticPowerMonotoneInVoltage(t *testing.T) {
 	}
 }
 
-func TestTotalAddsLeakage(t *testing.T) {
-	p := DefaultModel()
-	m := NewMode(1.0)
-	if got, want := p.Total(m, 20), p.Static(m)+20*p.Beta; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Total = %v, want %v", got, want)
-	}
-	if p.Total(ModeOff, 50) != 0 {
-		t.Fatal("off core must consume no power even when hot")
-	}
-}
-
 func TestVoltageForStaticRoundTrip(t *testing.T) {
 	p := DefaultModel()
 	f := func(raw float64) bool {

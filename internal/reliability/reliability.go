@@ -21,9 +21,7 @@
 package reliability
 
 import (
-	"fmt"
 	"math"
-	"sort"
 )
 
 // Cycle is one closed thermal cycle extracted by rainflow counting.
@@ -193,62 +191,4 @@ func (a Arrhenius) MeanAcceleration(series []float64, refC float64) float64 {
 		s += a.AccelerationFactor(t, refC)
 	}
 	return s / float64(len(series))
-}
-
-// Report summarizes the reliability profile of one steady periodic
-// schedule from a per-period stable-status temperature trace.
-type Report struct {
-	CyclesPerSecond float64 // rainflow cycles per second (count-weighted)
-	MeanAmplitudeK  float64 // count-weighted mean cycle amplitude
-	MaxAmplitudeK   float64
-	FatigueRate     float64 // Coffin–Manson damage per second (relative)
-	EMAcceleration  float64 // Arrhenius mean acceleration vs reference
-	PeakC           float64
-}
-
-// Analyze builds a Report from one stable-status period of a core's
-// temperature series (absolute °C), sampled uniformly over periodS
-// seconds. refC anchors the Arrhenius acceleration (e.g. the ambient or a
-// datasheet rating).
-func Analyze(series []float64, periodS, refC float64, cm CoffinManson, ar Arrhenius) (*Report, error) {
-	if len(series) < 2 || periodS <= 0 {
-		return nil, fmt.Errorf("reliability: need ≥2 samples over a positive period")
-	}
-	cycles := Rainflow(series)
-	var count, ampSum, maxAmp float64
-	for _, c := range cycles {
-		if c.AmplitudeK < cm.MinAmplitudeK {
-			continue
-		}
-		count += c.Count
-		ampSum += c.Count * c.AmplitudeK
-		if c.AmplitudeK > maxAmp {
-			maxAmp = c.AmplitudeK
-		}
-	}
-	mean := 0.0
-	if count > 0 {
-		mean = ampSum / count
-	}
-	peak := series[0]
-	for _, t := range series {
-		if t > peak {
-			peak = t
-		}
-	}
-	return &Report{
-		CyclesPerSecond: count / periodS,
-		MeanAmplitudeK:  mean,
-		MaxAmplitudeK:   maxAmp,
-		FatigueRate:     cm.Damage(cycles) / periodS,
-		EMAcceleration:  ar.MeanAcceleration(series, refC),
-		PeakC:           peak,
-	}, nil
-}
-
-// SortByAmplitude orders cycles by descending amplitude (for reporting).
-func SortByAmplitude(cycles []Cycle) {
-	sort.Slice(cycles, func(i, j int) bool {
-		return cycles[i].AmplitudeK > cycles[j].AmplitudeK
-	})
 }

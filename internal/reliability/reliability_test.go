@@ -61,9 +61,12 @@ func TestRainflowTextbookSequence(t *testing.T) {
 	}
 	// The largest extracted amplitude must correspond to the -4..5 swing
 	// (amplitude 4.5).
-	SortByAmplitude(cycles)
-	if math.Abs(cycles[0].AmplitudeK-4.5) > 1e-9 {
-		t.Fatalf("largest amplitude = %v, want 4.5", cycles[0].AmplitudeK)
+	largest := 0.0
+	for _, c := range cycles {
+		largest = math.Max(largest, c.AmplitudeK)
+	}
+	if math.Abs(largest-4.5) > 1e-9 {
+		t.Fatalf("largest amplitude = %v, want 4.5", largest)
 	}
 }
 
@@ -165,31 +168,5 @@ func TestArrhenius(t *testing.T) {
 	m := ar.MeanAcceleration([]float64{60, 60, 60}, 60)
 	if math.Abs(m-1) > 1e-12 {
 		t.Fatalf("mean acceleration at reference = %v", m)
-	}
-}
-
-func TestAnalyze(t *testing.T) {
-	series := []float64{55, 65, 55, 65, 55}
-	rep, err := Analyze(series, 2.0, 35, DefaultCoffinManson(), DefaultArrhenius())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PeakC != 65 {
-		t.Fatalf("PeakC = %v", rep.PeakC)
-	}
-	if math.Abs(rep.CyclesPerSecond-1) > 1e-9 { // 2 cycles per 2 s
-		t.Fatalf("CyclesPerSecond = %v", rep.CyclesPerSecond)
-	}
-	if math.Abs(rep.MeanAmplitudeK-5) > 1e-9 {
-		t.Fatalf("MeanAmplitudeK = %v", rep.MeanAmplitudeK)
-	}
-	if rep.MaxAmplitudeK != 5 || rep.FatigueRate <= 0 || rep.EMAcceleration <= 1 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if _, err := Analyze([]float64{1}, 1, 35, DefaultCoffinManson(), DefaultArrhenius()); err == nil {
-		t.Fatal("short series must error")
-	}
-	if _, err := Analyze(series, 0, 35, DefaultCoffinManson(), DefaultArrhenius()); err == nil {
-		t.Fatal("zero period must error")
 	}
 }

@@ -236,9 +236,6 @@ func (r *Rig) Scenario() Scenario { return r.sc }
 // predict on (the plant may differ).
 func (r *Rig) PlannerModel() *thermal.Model { return r.planner }
 
-// PlantModel returns the true plant model.
-func (r *Rig) PlantModel() *thermal.Model { return r.plant }
-
 // Levels returns the platform's DVFS level set.
 func (r *Rig) Levels() *power.LevelSet { return r.levels }
 
@@ -510,24 +507,6 @@ func (r *Rig) readSensors(t float64) {
 	}
 }
 
-// SensedC returns the latest delivered sensor readings (absolute °C).
-func (r *Rig) SensedC() []float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]float64(nil), r.sensed...)
-}
-
-// TrueTempsC returns the plant's true core temperatures (absolute °C).
-func (r *Rig) TrueTempsC() []float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]float64, r.plant.NumCores())
-	for i := range out {
-		out[i] = r.plant.Absolute(r.state[i])
-	}
-	return out
-}
-
 // Stats snapshots the run counters.
 func (r *Rig) Stats() Stats {
 	r.mu.Lock()
@@ -545,14 +524,6 @@ func (r *Rig) Stats() Stats {
 		StallS:            r.stallS,
 		Done:              r.step >= r.steps,
 	}
-}
-
-// TraceJSON renders the recorded per-step trace as deterministic JSON:
-// the same scenario seed always produces byte-identical output.
-func (r *Rig) TraceJSON() ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return json.Marshal(r.trace)
 }
 
 // report builds the final Report (called after the run loop ends).

@@ -334,7 +334,7 @@ func TestRigAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.PlannerModel() == nil || r.PlantModel() == nil || r.Levels() == nil {
+	if r.PlannerModel() == nil || r.plant == nil || r.Levels() == nil {
 		t.Fatal("nil accessor")
 	}
 	if r.LimitC() != 67 { // default 65 + 2
@@ -388,4 +388,30 @@ func TestCompareWarmStartsBaselines(t *testing.T) {
 				run.Controller, run.ViolationS)
 		}
 	}
+}
+
+// SensedC returns the latest delivered sensor readings (absolute °C).
+func (r *Rig) SensedC() []float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]float64(nil), r.sensed...)
+}
+
+// TrueTempsC returns the plant's true core temperatures (absolute °C).
+func (r *Rig) TrueTempsC() []float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]float64, r.plant.NumCores())
+	for i := range out {
+		out[i] = r.plant.Absolute(r.state[i])
+	}
+	return out
+}
+
+// TraceJSON renders the recorded per-step trace as deterministic JSON:
+// the same scenario seed always produces byte-identical output.
+func (r *Rig) TraceJSON() ([]byte, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return json.Marshal(r.trace)
 }

@@ -173,16 +173,3 @@ func SimulateEDF(tasks []Task, profile []SpeedSeg, horizon float64) (*EDFResult,
 	}
 	return res, nil
 }
-
-// ProfileMeanSpeed returns the work per second the profile sustains.
-func ProfileMeanSpeed(profile []SpeedSeg) float64 {
-	var work, span float64
-	for _, s := range profile {
-		work += s.Speed * s.Length
-		span += s.Length
-	}
-	if span == 0 {
-		return 0
-	}
-	return work / span
-}

@@ -11,6 +11,28 @@ func constantProfile(speed float64) []SpeedSeg {
 	return []SpeedSeg{{Length: 10e-3, Speed: speed}}
 }
 
+// ProfileMeanSpeed returns the work per second the profile sustains.
+func ProfileMeanSpeed(profile []SpeedSeg) float64 {
+	var work, span float64
+	for _, s := range profile {
+		work += s.Speed * s.Length
+		span += s.Length
+	}
+	if span == 0 {
+		return 0
+	}
+	return work / span
+}
+
+// TotalUtilization sums the task utilizations.
+func TotalUtilization(tasks []Task) float64 {
+	var s float64
+	for _, t := range tasks {
+		s += t.Utilization()
+	}
+	return s
+}
+
 // twoModeProfile oscillates lo/hi with the given high fraction and cycle.
 func twoModeProfile(lo, hi, hiFrac, cycle float64) []SpeedSeg {
 	return []SpeedSeg{

@@ -56,80 +56,6 @@ type Partition struct {
 	CoreUtil []float64
 }
 
-// Tasks returns the indices of the tasks on core c, ascending.
-func (p *Partition) Tasks(c int) []int {
-	var out []int
-	for i, cc := range p.TaskCore {
-		if cc == c {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// MaxUtil returns the highest per-core utilization.
-func (p *Partition) MaxUtil() float64 {
-	var m float64
-	for _, u := range p.CoreUtil {
-		if u > m {
-			m = u
-		}
-	}
-	return m
-}
-
-// FirstFitDecreasing partitions tasks onto n cores: tasks sorted by
-// decreasing utilization, each placed on the least-loaded core (a
-// worst-fit flavor that balances thermal load, which matters more here
-// than bin-packing tightness: an even spread minimizes the hottest
-// core's required speed). capacity bounds the per-core utilization (use
-// the platform's top speed); an error identifies the first task that
-// cannot fit.
-func FirstFitDecreasing(tasks []Task, n int, capacity float64) (*Partition, error) {
-	if n <= 0 {
-		return nil, errors.New("rt: need at least one core")
-	}
-	if capacity <= 0 {
-		return nil, errors.New("rt: non-positive capacity")
-	}
-	for _, t := range tasks {
-		if err := t.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	order := make([]int, len(tasks))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return tasks[order[a]].Utilization() > tasks[order[b]].Utilization()
-	})
-	part := &Partition{
-		TaskCore: make([]int, len(tasks)),
-		CoreUtil: make([]float64, n),
-	}
-	for _, ti := range order {
-		u := tasks[ti].Utilization()
-		// Least-loaded core that still fits.
-		best := -1
-		for c := 0; c < n; c++ {
-			if part.CoreUtil[c]+u > capacity+1e-12 {
-				continue
-			}
-			if best == -1 || part.CoreUtil[c] < part.CoreUtil[best] {
-				best = c
-			}
-		}
-		if best == -1 {
-			return nil, fmt.Errorf("rt: task %q (u=%.3f) does not fit on any core (capacity %.3f)",
-				tasks[ti].Name, u, capacity)
-		}
-		part.TaskCore[ti] = best
-		part.CoreUtil[best] += u
-	}
-	return part, nil
-}
-
 // PartitionBySpeeds places tasks (worst-fit decreasing) onto cores with
 // HETEROGENEOUS sustained speeds: each task goes to the core with the
 // largest remaining speed margin, so off or throttled cores (an EXS
@@ -224,13 +150,4 @@ func MinPeriod(tasks []Task) float64 {
 		}
 	}
 	return m
-}
-
-// TotalUtilization sums the task utilizations.
-func TotalUtilization(tasks []Task) float64 {
-	var s float64
-	for _, t := range tasks {
-		s += t.Utilization()
-	}
-	return s
 }

@@ -2,9 +2,7 @@ package rt
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestTaskValidate(t *testing.T) {
@@ -20,56 +18,6 @@ func TestTaskValidate(t *testing.T) {
 	u := Task{WCET: 2, Period: 8}.Utilization()
 	if u != 0.25 {
 		t.Fatalf("utilization = %v", u)
-	}
-}
-
-func TestFirstFitDecreasingBalances(t *testing.T) {
-	tasks := []Task{
-		{Name: "t1", WCET: 6, Period: 10}, // 0.6
-		{Name: "t2", WCET: 5, Period: 10}, // 0.5
-		{Name: "t3", WCET: 4, Period: 10}, // 0.4
-		{Name: "t4", WCET: 3, Period: 10}, // 0.3
-	}
-	part, err := FirstFitDecreasing(tasks, 2, 1.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Worst-fit decreasing: 0.6→c0, 0.5→c1, 0.4→c1 (0.9), 0.3→c0 (0.9).
-	if math.Abs(part.CoreUtil[0]-0.9) > 1e-12 || math.Abs(part.CoreUtil[1]-0.9) > 1e-12 {
-		t.Fatalf("unbalanced: %v", part.CoreUtil)
-	}
-	if part.MaxUtil() != 0.9 {
-		t.Fatalf("MaxUtil = %v", part.MaxUtil())
-	}
-	// Tasks() inverts TaskCore.
-	seen := 0
-	for c := 0; c < 2; c++ {
-		for _, ti := range part.Tasks(c) {
-			if part.TaskCore[ti] != c {
-				t.Fatal("Tasks/TaskCore inconsistent")
-			}
-			seen++
-		}
-	}
-	if seen != len(tasks) {
-		t.Fatalf("placed %d of %d tasks", seen, len(tasks))
-	}
-}
-
-func TestFirstFitDecreasingErrors(t *testing.T) {
-	tasks := []Task{{Name: "big", WCET: 14, Period: 10}} // u = 1.4
-	if _, err := FirstFitDecreasing(tasks, 4, 1.3); err == nil {
-		t.Fatal("oversized task must be rejected")
-	}
-	if _, err := FirstFitDecreasing(nil, 0, 1.3); err == nil {
-		t.Fatal("zero cores must error")
-	}
-	if _, err := FirstFitDecreasing(nil, 2, 0); err == nil {
-		t.Fatal("zero capacity must error")
-	}
-	bad := []Task{{Name: "x", WCET: -1, Period: 1}}
-	if _, err := FirstFitDecreasing(bad, 2, 1.3); err == nil {
-		t.Fatal("invalid task must be rejected")
 	}
 }
 
@@ -164,57 +112,5 @@ func TestHelpers(t *testing.T) {
 	}
 	if math.Abs(TotalUtilization(tasks)-0.75) > 1e-12 {
 		t.Fatalf("TotalUtilization = %v", TotalUtilization(tasks))
-	}
-}
-
-// Properties of the partitioner: every task is placed exactly once, core
-// utilizations are consistent, no core exceeds capacity, and the most
-// loaded core carries at most the least loaded plus the largest task.
-func TestFirstFitDecreasingProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(8)
-		cap := 1.0 + r.Float64()*0.5
-		var tasks []Task
-		var maxU float64
-		for i := 0; i < 1+r.Intn(20); i++ {
-			u := 0.05 + r.Float64()*0.5
-			tasks = append(tasks, Task{Name: "t", WCET: u, Period: 1})
-			if u > maxU {
-				maxU = u
-			}
-		}
-		part, err := FirstFitDecreasing(tasks, n, cap)
-		if err != nil {
-			// Legitimate when the load genuinely does not fit.
-			return TotalUtilization(tasks) > float64(n)*cap-maxU
-		}
-		sums := make([]float64, n)
-		for i, c := range part.TaskCore {
-			if c < 0 || c >= n {
-				return false
-			}
-			sums[c] += tasks[i].Utilization()
-		}
-		lo, hi := math.Inf(1), 0.0
-		for c := 0; c < n; c++ {
-			if math.Abs(sums[c]-part.CoreUtil[c]) > 1e-9 {
-				return false
-			}
-			if part.CoreUtil[c] > cap+1e-9 {
-				return false
-			}
-			if part.CoreUtil[c] < lo {
-				lo = part.CoreUtil[c]
-			}
-			if part.CoreUtil[c] > hi {
-				hi = part.CoreUtil[c]
-			}
-		}
-		// Worst-fit balance bound.
-		return hi <= lo+maxU+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
 	}
 }

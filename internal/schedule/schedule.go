@@ -326,20 +326,6 @@ func (s *Schedule) Scale(k float64) *Schedule {
 	return Must(cores)
 }
 
-// MaxVoltage returns the highest voltage appearing anywhere in the
-// schedule.
-func (s *Schedule) MaxVoltage() float64 {
-	var v float64
-	for _, segs := range s.cores {
-		for _, seg := range segs {
-			if seg.Mode.Voltage > v {
-				v = seg.Mode.Voltage
-			}
-		}
-	}
-	return v
-}
-
 // String renders a compact description for logs and test failures.
 func (s *Schedule) String() string {
 	var sb strings.Builder

@@ -308,11 +308,8 @@ func TestScale(t *testing.T) {
 	mustPanicSched(t, func() { s.Scale(0) })
 }
 
-func TestMaxVoltageAndString(t *testing.T) {
+func TestString(t *testing.T) {
 	s := Must([][]Segment{{seg(1, 0.6), seg(1, 1.25)}, {seg(2, 0.8)}})
-	if s.MaxVoltage() != 1.25 {
-		t.Fatalf("MaxVoltage = %v", s.MaxVoltage())
-	}
 	if s.String() == "" {
 		t.Fatal("String empty")
 	}

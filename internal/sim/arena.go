@@ -158,10 +158,6 @@ func (a *EvalArena) poison() {
 	a.z = 0
 }
 
-// Released reports whether the arena is currently checked back into the
-// pool (used by the poison-on-release tests).
-func (a *EvalArena) Released() bool { return a.released }
-
 func (a *EvalArena) checkLive() {
 	if a.released {
 		panic("sim: use of a released EvalArena")

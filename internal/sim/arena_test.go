@@ -148,7 +148,7 @@ func TestArenaPoisonOnRelease(t *testing.T) {
 	tinf := a.tinfs[0] // shared with the propagator cache
 	eng.ReleaseArena(a)
 
-	if !a.Released() {
+	if !a.released {
 		t.Fatal("arena not marked released")
 	}
 	for name, buf := range map[string][]float64{

@@ -102,50 +102,3 @@ func (s *Stable) Energy() *EnergyReport {
 	}
 	return rep
 }
-
-// PeakRefined sharpens PeakDense with golden-section refinement around
-// the best sample: within the bracketing sub-interval the core's
-// temperature is smooth (a sum of exponentials), so a few golden-section
-// iterations recover the continuous-time peak to high precision.
-func (s *Stable) PeakRefined(samples, iters int) (peak float64, core int, at float64) {
-	peak, core, at = s.PeakDense(samples)
-	if iters < 1 {
-		return peak, core, at
-	}
-	// Bracket: one dense-sample spacing on either side of the argmax.
-	step := s.sched.Period() / float64(max(1, samples*len(s.ivs)))
-	lo := math.Max(0, at-step)
-	hi := math.Min(s.sched.Period(), at+step)
-
-	tempAt := func(t float64) float64 {
-		return s.At(t)[core]
-	}
-	const phi = 0.6180339887498949
-	a, b := lo, hi
-	c := b - phi*(b-a)
-	d := a + phi*(b-a)
-	fc, fd := tempAt(c), tempAt(d)
-	for k := 0; k < iters; k++ {
-		if fc > fd {
-			b, d, fd = d, c, fc
-			c = b - phi*(b-a)
-			fc = tempAt(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + phi*(b-a)
-			fd = tempAt(d)
-		}
-	}
-	best := 0.5 * (a + b)
-	if v := tempAt(best); v > peak {
-		peak, at = v, best
-	}
-	return peak, core, at
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -87,34 +87,3 @@ func TestEnergyHigherSpeedCostsMorePerWork(t *testing.T) {
 		t.Fatal("cubic power law should make the fast mode less efficient per work unit")
 	}
 }
-
-func TestPeakRefinedImprovesOnDense(t *testing.T) {
-	md := model(t, 2, 1)
-	// Non-step-up schedule with an interior peak.
-	s := schedule.Must([][]schedule.Segment{
-		{seg(0.5, 1.3), seg(0.5, 0.6)},
-		{seg(0.5, 0.6), seg(0.5, 1.3)},
-	})
-	st, err := NewStable(md, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coarse, _, _ := st.PeakDense(6)
-	refined, core, at := st.PeakRefined(6, 40)
-	if refined < coarse-1e-12 {
-		t.Fatalf("refinement lost ground: %.8f vs %.8f", refined, coarse)
-	}
-	// Against a very dense reference.
-	reference, _, _ := st.PeakDense(2000)
-	if refined < reference-1e-5 {
-		t.Fatalf("refined %.8f below dense reference %.8f", refined, reference)
-	}
-	if at < 0 || at > s.Period() || core < 0 || core > 1 {
-		t.Fatalf("refined location malformed: core %d at %v", core, at)
-	}
-	// iters < 1 degrades gracefully to PeakDense.
-	p0, _, _ := st.PeakRefined(6, 0)
-	if math.Abs(p0-coarse) > 1e-12 {
-		t.Fatal("zero-iteration refinement should equal dense")
-	}
-}

@@ -3,8 +3,9 @@
 // (paper eq. (3)), the thermally stable status (eq. (4)), and peak
 // temperature identification — the O(z) end-of-period evaluation that
 // Theorem 1 licenses for step-up schedules, and a dense-sampling search
-// for arbitrary schedules. A classic RK4 integrator cross-validates the
-// closed-form solutions (standing in for HotSpot transient simulation).
+// for arbitrary schedules. The tests check the closed-form solutions
+// against a classic RK4 integrator (standing in for HotSpot transient
+// simulation).
 package sim
 
 import (
@@ -16,17 +17,6 @@ import (
 	"thermosc/internal/schedule"
 	"thermosc/internal/thermal"
 )
-
-// PeriodEnd propagates the state t0 through exactly one period of sched
-// using the closed-form per-interval solution and returns the state at the
-// end of the period.
-func PeriodEnd(md *thermal.Model, sched *schedule.Schedule, t0 []float64) []float64 {
-	state := mat.VecClone(t0)
-	for _, iv := range sched.Intervals() {
-		state = md.Step(iv.Length, state, iv.Modes)
-	}
-	return state
-}
 
 // PeriodCache holds the period-dependent operators of the stable-status
 // equation — on the dense backend K = e^{A·t_p} and an LU factorization
@@ -197,20 +187,6 @@ func (s *Stable) At(t float64) []float64 {
 func (s *Stable) PeakEndOfPeriod() (peak float64, core int) {
 	temps := s.md.CoreTemps(s.ends[len(s.ends)-1])
 	return mat.VecMax(temps)
-}
-
-// PeakAtIntervalEnds returns the hottest core temperature over all
-// interval boundaries in the stable status (the classic "scheduling
-// points" heuristic, exact for single cores but not for multi-core
-// platforms — see paper §IV).
-func (s *Stable) PeakAtIntervalEnds() (peak float64, core int) {
-	peak, core = mat.VecMax(s.md.CoreTemps(s.start))
-	for _, end := range s.ends {
-		if p, c := mat.VecMax(s.md.CoreTemps(end)); p > peak {
-			peak, core = p, c
-		}
-	}
-	return peak, core
 }
 
 // PeakDense searches for the peak core temperature anywhere in the stable

@@ -196,10 +196,6 @@ func TestTraceHelpers(t *testing.T) {
 	if series[0] != md.Absolute(0) {
 		t.Fatalf("initial absolute temp = %v", series[0])
 	}
-	peak, sample, core := tr.MaxCoreRise(md)
-	if peak <= 0 || sample < 0 || core < 0 || core >= 2 {
-		t.Fatalf("MaxCoreRise = %v,%d,%d", peak, sample, core)
-	}
 }
 
 // Theorem 1 on the layered model: for step-up schedules the stable-status

@@ -24,17 +24,6 @@ func (tr *Trace) CoreSeries(md *thermal.Model, i int) []float64 {
 	return out
 }
 
-// MaxCoreRise returns the hottest core temperature rise seen anywhere in
-// the trace and the index at which it occurs.
-func (tr *Trace) MaxCoreRise(md *thermal.Model) (peak float64, sample, core int) {
-	for k, t := range tr.Temps {
-		if p, c := mat.VecMax(md.CoreTemps(t)); p > peak || k == 0 {
-			peak, sample, core = p, k, c
-		}
-	}
-	return peak, sample, core
-}
-
 // Transient simulates nPeriods repetitions of sched from state t0 with the
 // exact closed-form solution, sampling samplesPerPeriod points per period
 // (plus the initial point).
@@ -83,59 +72,6 @@ func Transient(md *thermal.Model, sched *schedule.Schedule, t0 []float64, nPerio
 			}
 			state = md.StepToward(rem, state, tinfs[q])
 			ivAcc += ivs[q].Length
-		}
-	}
-	return tr
-}
-
-// RK4 simulates nPeriods of sched from t0 with a fixed-step fourth-order
-// Runge-Kutta integration of dT/dt = A·T + B(v). It is the numerical
-// reference ("HotSpot-lite") used to cross-validate the closed-form
-// solutions; dt must resolve the fastest time constant.
-func RK4(md *thermal.Model, sched *schedule.Schedule, t0 []float64, nPeriods int, dt float64) *Trace {
-	if dt <= 0 || nPeriods < 1 {
-		panic(fmt.Sprintf("sim: RK4 with dt=%v nPeriods=%d", dt, nPeriods))
-	}
-	a := md.A()
-	ivs := sched.Intervals()
-	bvecs := make([][]float64, len(ivs))
-	for q, iv := range ivs {
-		bvecs[q] = md.BVec(iv.Modes)
-	}
-	deriv := func(state, b []float64) []float64 {
-		d := a.MulVec(state)
-		return mat.VecAddInPlace(d, b)
-	}
-	rkStep := func(state, b []float64, h float64) []float64 {
-		k1 := deriv(state, b)
-		k2 := deriv(mat.VecAdd(state, mat.VecScale(h/2, k1)), b)
-		k3 := deriv(mat.VecAdd(state, mat.VecScale(h/2, k2)), b)
-		k4 := deriv(mat.VecAdd(state, mat.VecScale(h, k3)), b)
-		out := mat.VecClone(state)
-		mat.VecAXPY(out, h/6, k1)
-		mat.VecAXPY(out, h/3, k2)
-		mat.VecAXPY(out, h/3, k3)
-		mat.VecAXPY(out, h/6, k4)
-		return out
-	}
-
-	tr := &Trace{Times: []float64{0}, Temps: [][]float64{mat.VecClone(t0)}}
-	state := mat.VecClone(t0)
-	now := 0.0
-	for p := 0; p < nPeriods; p++ {
-		for q, iv := range ivs {
-			remaining := iv.Length
-			for remaining > 1e-15 {
-				h := dt
-				if h > remaining {
-					h = remaining
-				}
-				state = rkStep(state, bvecs[q], h)
-				remaining -= h
-				now += h
-			}
-			tr.Times = append(tr.Times, now)
-			tr.Temps = append(tr.Temps, mat.VecClone(state))
 		}
 	}
 	return tr

@@ -198,14 +198,18 @@ func (st *aoState) degrade(r DegradedReason) {
 }
 
 // AO runs Algorithm 2 and returns the aligned m-oscillating schedule.
-func AO(p Problem) (*Result, error) {
+func AO(p Problem) (*Result, error) { return solveAO(p, newArenaEval) }
+
+// solveAO is AO with the solve's evaluator built by newEval. The
+// differential tests pass the classic reference evaluator.
+func solveAO(p Problem, newEval newEvalFunc) (*Result, error) {
 	p, err := p.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	start := now()
 	eng := p.engine()
-	ev := newEvaluator(p, eng, p.Model.NumCores())
+	ev := newEval(p, eng, p.Model.NumCores())
 	defer ev.release()
 	st, err := runAO(p, eng, ev)
 	if err != nil {
@@ -430,7 +434,7 @@ func optimizeSpecs(p Problem, ev evaluator, specs []coreSpec, forceM int) (*aoSt
 	// Phase 3: TPT-guided ratio adjustment until the constraint holds.
 	tc := tp / float64(ms.m)
 	cache := ms.cache
-	tUnit := p.TUnitFrac * tc
+	tUnit := tUnitFrac * tc
 	dr := tUnit / tc // ratio change per adjustment quantum
 	canCool := func(j int) bool { return canStep(specs[j], -dr) }
 	canRaise := func(j int) bool { return canStep(specs[j], dr) }

@@ -67,8 +67,6 @@ func TestProblemRejectsDegenerateQuanta(t *testing.T) {
 		mut  func(*Problem)
 		frag string
 	}{
-		{"subnormal TUnitFrac", func(p *Problem) { p.TUnitFrac = 5e-324 }, "TUnitFrac"},
-		{"NaN TUnitFrac", func(p *Problem) { p.TUnitFrac = math.NaN() }, "TUnitFrac"},
 		{"subnormal BasePeriod", func(p *Problem) { p.BasePeriod = 5e-324 }, "base period"},
 		{"NaN BasePeriod", func(p *Problem) { p.BasePeriod = math.NaN() }, "base period"},
 		{"negative BasePeriod", func(p *Problem) { p.BasePeriod = -1 }, "base period"},

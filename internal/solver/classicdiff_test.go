@@ -7,7 +7,7 @@ import (
 
 // The incremental m-search evaluator (composed eigenbasis screening with
 // early termination, plus per-solve arenas) must choose bit-identical
-// plans to the classic full-scan reference path (Problem.ClassicEval).
+// plans to the classic full-scan reference evaluator (classicEval).
 // The sweep mirrors the seeded platform distribution of `make
 // verify-diff` (cmd/thermosc-verify drawCase): 1–6 cores, 2–3 paper
 // levels, 10–40 ms base periods, thresholds from comfortably feasible to
@@ -27,16 +27,12 @@ func TestIncrementalMatchesClassicSweep(t *testing.T) {
 		tmaxC := 50 + 25*rng.Float64()
 		p := problem(t, sh[0], sh[1], levels, tmaxC)
 		p.BasePeriod = period
-		for name, f := range map[string]func(Problem) (*Result, error){
-			"AO":  AO,
-			"PCO": PCO,
+		for name, solve := range map[string]func(Problem, newEvalFunc) (*Result, error){
+			"AO":  solveAO,
+			"PCO": solvePCO,
 		} {
-			pc := p
-			pc.ClassicEval = true
-			classic, cErr := f(pc)
-			pi := p
-			pi.ClassicEval = false
-			incr, iErr := f(pi)
+			classic, cErr := solve(p, newClassicEval)
+			incr, iErr := solve(p, newArenaEval)
 			if (cErr == nil) != (iErr == nil) {
 				t.Fatalf("case %d %s %dx%d L%d tmax=%.2f: error divergence classic=%v incremental=%v",
 					i, name, sh[0], sh[1], levels, tmaxC, cErr, iErr)

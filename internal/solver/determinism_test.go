@@ -136,10 +136,10 @@ func TestAOScheduleDeterminism(t *testing.T) {
 // (sparse backend, scale policy active) at 60 and 70 °C.
 func aopcoGrid(t *testing.T, workers int, visit func(*Result)) {
 	t.Helper()
-	solve := func(f func(Problem) (*Result, error), p Problem) {
+	solve := func(f func(Problem, newEvalFunc) (*Result, error), p Problem, newEval newEvalFunc) {
 		t.Helper()
 		p.Workers = workers
-		res, err := f(p)
+		res, err := f(p, newEval)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,10 +149,9 @@ func aopcoGrid(t *testing.T, workers int, visit func(*Result)) {
 		for levels := 2; levels <= 3; levels++ {
 			for _, tmax := range []float64{55, 60, 65, 70} {
 				p := problem(t, mesh[0], mesh[1], levels, tmax)
-				for _, f := range []func(Problem) (*Result, error){AO, PCO} {
-					for _, classic := range []bool{false, true} {
-						p.ClassicEval = classic
-						solve(f, p)
+				for _, f := range []func(Problem, newEvalFunc) (*Result, error){solveAO, solvePCO} {
+					for _, newEval := range []newEvalFunc{newArenaEval, newClassicEval} {
+						solve(f, p, newEval)
 					}
 				}
 			}
@@ -170,7 +169,7 @@ func aopcoGrid(t *testing.T, workers int, visit func(*Result)) {
 		t.Fatal(err)
 	}
 	for _, tmax := range []float64{60, 70} {
-		solve(AO, Problem{Model: md, Levels: ls, TmaxC: tmax, Overhead: power.DefaultOverhead()})
+		solve(solveAO, Problem{Model: md, Levels: ls, TmaxC: tmax, Overhead: power.DefaultOverhead()}, newArenaEval)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the parallel half of the AO/PCO evaluation engine: a
-// deterministic worker pool (parForW), the two evaluators a solve chooses
-// between (evaluator), and the fanned-out m-searches. The contract
+// deterministic worker pool (parForW), the evaluator of a solve
+// (evaluator), and the fanned-out m-searches. The contract
 // mirrors EXS (exs.go): any worker count — including 1, the sequential
 // reference path — produces bit-identical results. That holds because
 // every candidate (an oscillation count m, a TPT/refill trial index j, a
@@ -56,15 +56,15 @@ func parForW(workers, n int, f func(worker, i int)) {
 	wg.Wait()
 }
 
-// evaluator is the evaluation strategy of one AO/PCO solve, chosen once
-// by newEvaluator: arenaEval, the default, evaluates through per-worker
-// sim.EvalArena scratch; classicEval (Problem.ClassicEval) builds and
-// solves a Schedule per evaluation, the allocating pre-arena reference.
-// Both yield bit-identical temperatures, peaks and plans; they differ
-// only in the m-search's Evals/MEvaluated accounting and in speed. w
-// selects the calling worker's scratch (classicEval ignores it), so
-// calls with distinct w may run concurrently: the engine's caches
-// synchronize internally and the evaluation count is atomic.
+// evaluator is the evaluation strategy of one AO/PCO solve, built once
+// per solve. arenaEval, the one AO and PCO use, evaluates through
+// per-worker sim.EvalArena scratch. The tests substitute a classic
+// reference evaluator that builds and solves a Schedule per evaluation
+// and scans every m; both yield bit-identical temperatures, peaks and
+// plans and differ only in the m-search's Evals/MEvaluated accounting
+// and in speed. w selects the calling worker's scratch, so calls with
+// distinct w may run concurrently: the engine's caches synchronize
+// internally and the evaluation count is atomic.
 type evaluator interface {
 	// searchM scans m ∈ [startM, maxM] for the peak-minimizing
 	// oscillation count (Algorithm 2 phase 2).
@@ -77,9 +77,8 @@ type evaluator interface {
 	// cycle: aligned when offs is nil, else with core i's phase shifted
 	// by offs[i].
 	densePeak(w int, specs []coreSpec, offs []float64, tc float64, cache *sim.PeriodCache) (float64, error)
-	// withRH returns specs with core j's high-mode ratio replaced by rh:
-	// in worker w's trial buffer, valid until w's next trial (arenaEval),
-	// or in a fresh copy (classicEval).
+	// withRH returns specs with core j's high-mode ratio replaced by rh,
+	// valid until worker w's next trial.
 	withRH(w int, specs []coreSpec, j int, rh float64) []coreSpec
 	// count is the number of endTemps/densePeak evaluations so far.
 	count() int64
@@ -88,12 +87,12 @@ type evaluator interface {
 	release()
 }
 
-// newEvaluator builds the evaluator of one solve on eng for platforms
-// with the given core count.
-func newEvaluator(p Problem, eng *sim.Engine, cores int) evaluator {
-	if p.ClassicEval {
-		return &classicEval{p: p, eng: eng}
-	}
+// newEvalFunc builds the evaluator of one solve on eng for platforms with
+// the given core count.
+type newEvalFunc func(p Problem, eng *sim.Engine, cores int) evaluator
+
+// newArenaEval is the newEvalFunc of AO and PCO.
+func newArenaEval(p Problem, eng *sim.Engine, cores int) evaluator {
 	workers := p.workers()
 	e := &arenaEval{
 		p:      p,
@@ -112,7 +111,7 @@ func newEvaluator(p Problem, eng *sim.Engine, cores int) evaluator {
 	return e
 }
 
-// evalCount is the atomic evaluation tally both evaluators keep.
+// evalCount is the atomic evaluation tally of an evaluator.
 type evalCount struct{ n atomic.Int64 }
 
 func (c *evalCount) count() int64 { return c.n.Load() }
@@ -171,7 +170,7 @@ func (e *arenaEval) densePeak(w int, specs []coreSpec, offs []float64, tc float6
 		}
 	}
 	e.n.Add(1)
-	return a.StableDensePeak(cache, e.p.PeakSamples)
+	return a.StableDensePeak(cache, peakSamples)
 }
 
 func (e *arenaEval) withRH(w int, specs []coreSpec, j int, rh float64) []coreSpec {
@@ -187,57 +186,6 @@ func (e *arenaEval) release() {
 	}
 	e.arenas = nil
 }
-
-// classicEval is the reference evaluator: every evaluation builds its
-// thermal-view Schedule and solves it through sim.NewStableCached, and
-// the m-search is the full classic scan. It backs the differential tests
-// and is the fallback if the incremental m-search's quasi-convexity
-// assumption (Theorem 5) is ever in doubt for an exotic platform.
-type classicEval struct {
-	evalCount
-	p   Problem
-	eng *sim.Engine
-}
-
-func (e *classicEval) searchM(specs []coreSpec, startM, maxM int) (mSearch, error) {
-	return searchMClassic(e.p, e.eng, specs, startM, maxM)
-}
-
-// stable solves the thermal-view cycle, shifted by offs, classically.
-func (e *classicEval) stable(specs []coreSpec, offs []float64, tc float64, cache *sim.PeriodCache) (*sim.Stable, error) {
-	cyc, err := shiftedCycle(tc, specs, offs, e.p.Overhead, cycleThermal)
-	if err != nil {
-		return nil, err
-	}
-	e.n.Add(1)
-	return sim.NewStableCached(e.p.Model, cyc, cache)
-}
-
-func (e *classicEval) endTemps(_ int, dst []float64, specs []coreSpec, tc float64, cache *sim.PeriodCache) error {
-	stable, err := e.stable(specs, nil, tc, cache)
-	if err != nil {
-		return err
-	}
-	copy(dst, stable.End(stable.NumIntervals() - 1)[:len(dst)])
-	return nil
-}
-
-func (e *classicEval) densePeak(_ int, specs []coreSpec, offs []float64, tc float64, cache *sim.PeriodCache) (float64, error) {
-	stable, err := e.stable(specs, offs, tc, cache)
-	if err != nil {
-		return math.Inf(1), err
-	}
-	dp, _, _ := stable.PeakDense(e.p.PeakSamples)
-	return dp, nil
-}
-
-func (e *classicEval) withRH(_ int, specs []coreSpec, j int, rh float64) []coreSpec {
-	trial := append([]coreSpec(nil), specs...)
-	trial[j].RH = rh
-	return trial
-}
-
-func (e *classicEval) release() {}
 
 // mSearch is the outcome of one m-search scan.
 type mSearch struct {
@@ -419,23 +367,4 @@ func classicMPeak(p Problem, eng *sim.Engine, specs []coreSpec, mm int) mCandida
 	}
 	peak, _, err := sim.StepUpPeak(eng.Model(), cyc, cache)
 	return mCandidate{m: mm, peak: peak, cache: cache, err: err}
-}
-
-// searchMClassic is the reference full scan: classicMPeak on every m in
-// [startM, maxM]. The fold visits every candidate before deciding, so
-// evals counts all successful evaluations even when an earlier m failed.
-func searchMClassic(p Problem, eng *sim.Engine, specs []coreSpec, startM, maxM int) (mSearch, error) {
-	n := maxM - startM + 1
-	if n <= 0 {
-		return mSearch{peak: math.Inf(1)}, nil
-	}
-	cands := make([]mCandidate, n)
-	parForW(p.workers(), n, func(_, k int) {
-		cands[k] = classicMPeak(p, eng, specs, startM+k)
-	})
-	out := mSearch{peak: math.Inf(1)}
-	for _, c := range cands {
-		out.fold(c)
-	}
-	return out.done(p)
 }

@@ -40,12 +40,15 @@ func TestSearchMCountsEveryCandidate(t *testing.T) {
 	p, eng, specs := msearchProblem(t)
 	const maxM = 7
 	for _, classic := range []bool{true, false} {
-		p.ClassicEval = classic
+		newEval := newArenaEval
+		if classic {
+			newEval = newClassicEval
+		}
 		var ref int64 = -1
 		var refM int
 		for _, workers := range []int{1, 4} {
 			p.Workers = workers
-			ev := newEvaluator(p, eng, len(specs))
+			ev := newEval(p, eng, len(specs))
 			ms, err := ev.searchM(specs, 1, maxM)
 			ev.release()
 			if err != nil {
@@ -81,7 +84,7 @@ func TestSearchMErrorKeepsCount(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p.Ctx = ctx
-	ev := newEvaluator(p, eng, len(specs))
+	ev := newArenaEval(p, eng, len(specs))
 	defer ev.release()
 	ms, err := ev.searchM(specs, 1, 5)
 	if err == nil {
@@ -106,7 +109,7 @@ func TestSearchMErrorKeepsCount(t *testing.T) {
 // same cache (never a rebuilt or invalidated one) for the winning period.
 func TestSearchMBestCacheStaysPooled(t *testing.T) {
 	p, eng, specs := msearchProblem(t)
-	ev := newEvaluator(p, eng, len(specs))
+	ev := newArenaEval(p, eng, len(specs))
 	defer ev.release()
 	ms, err := ev.searchM(specs, 1, 6)
 	if err != nil {

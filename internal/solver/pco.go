@@ -1,11 +1,6 @@
 package solver
 
-import (
-	"math"
-
-	"thermosc/internal/power"
-	"thermosc/internal/schedule"
-)
+import "math"
 
 // PCO implements phase-conscious oscillation (§VI): it runs AO, then
 // shifts each core's oscillation phase to spatially interleave high- and
@@ -14,7 +9,7 @@ import (
 // stays within the threshold.
 //
 // Shifted schedules are no longer step-up, so PCO verifies peaks by dense
-// sampling (Problem.PeakSamples per state interval) instead of Theorem 1's
+// sampling (peakSamples per state interval) instead of Theorem 1's
 // end-of-period shortcut — which is exactly why PCO costs more CPU time
 // than AO in Table V. The dense evaluations run through the AO run's
 // shared sim.Engine, so the per-interval operators (including the
@@ -22,14 +17,18 @@ import (
 // computed once; the phase search and the refill trial scan fan out
 // across p.Workers goroutines with deterministic reductions — any worker
 // count returns the identical plan.
-func PCO(p Problem) (*Result, error) {
+func PCO(p Problem) (*Result, error) { return solvePCO(p, newArenaEval) }
+
+// solvePCO is PCO with the solve's evaluator built by newEval. The
+// differential tests pass the classic reference evaluator.
+func solvePCO(p Problem, newEval newEvalFunc) (*Result, error) {
 	p, err := p.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	start := now()
 	eng := p.engine()
-	ev := newEvaluator(p, eng, p.Model.NumCores())
+	ev := newEval(p, eng, p.Model.NumCores())
 	defer ev.release()
 	st, err := runAO(p, eng, ev)
 	if err != nil {
@@ -52,7 +51,7 @@ func PCO(p Problem) (*Result, error) {
 	// so the phase search never hurts). Candidate offsets for one core are
 	// independent, so they fan out across the worker pool; the winner is
 	// chosen deterministically (lowest peak, ties to the smallest offset).
-	peaks := make([]float64, p.PCOPhaseSteps)
+	peaks := make([]float64, pcoPhaseSteps)
 	offsW := make([][]float64, workers)
 	for w := range offsW {
 		offsW[w] = make([]float64, n)
@@ -81,10 +80,10 @@ func PCO(p Problem) (*Result, error) {
 		if phaseMask != nil && !phaseMask[i] {
 			continue
 		}
-		parForW(workers, p.PCOPhaseSteps, func(w, k int) {
+		parForW(workers, pcoPhaseSteps, func(w, k int) {
 			offs := offsW[w]
 			copy(offs, offsets)
-			offs[i] = float64(k) / float64(p.PCOPhaseSteps) * st.tc
+			offs[i] = float64(k) / float64(pcoPhaseSteps) * st.tc
 			pk, err := densePeak(w, st.specs, offs)
 			if err != nil {
 				pk = math.Inf(1)
@@ -95,7 +94,7 @@ func PCO(p Problem) (*Result, error) {
 		for k, pk := range peaks {
 			if pk < bestPeak {
 				bestPeak = pk
-				bestOff = float64(k) / float64(p.PCOPhaseSteps) * st.tc
+				bestOff = float64(k) / float64(pcoPhaseSteps) * st.tc
 			}
 		}
 		offsets[i] = bestOff
@@ -110,7 +109,7 @@ func PCO(p Problem) (*Result, error) {
 	// reduction keeps the sequential tie-break (highest gain, then lowest
 	// resulting peak, then the smallest core index). A trial that fails or
 	// breaks the threshold leaves its peak at +Inf.
-	dr := p.TUnitFrac
+	dr := tUnitFrac
 	specs := append([]coreSpec(nil), st.specs...)
 	trialPeaks := make([]float64, n)
 	refillTrial := func(w, j int, trial []coreSpec) {
@@ -181,14 +180,4 @@ func PCO(p Problem) (*Result, error) {
 		Degraded:   st.degraded,
 		MEvaluated: st.mEvaluated,
 	}, nil
-}
-
-// modesOf extracts the constant modes of a constant schedule (helper for
-// tests and experiment reporting).
-func modesOf(s *schedule.Schedule) []power.Mode {
-	modes := make([]power.Mode, s.NumCores())
-	for i := range modes {
-		modes[i] = s.ModeAt(i, 0)
-	}
-	return modes
 }

@@ -42,15 +42,6 @@ type Problem struct {
 	// MaxM caps the oscillation search regardless of the overhead-derived
 	// bound. Defaults to 4096.
 	MaxM int
-	// TUnitFrac sets the TPT adjustment quantum t_unit as a fraction of
-	// the oscillation cycle. Defaults to 1/200.
-	TUnitFrac float64
-	// PCOPhaseSteps is the number of phase offsets tried per core by PCO.
-	// Defaults to 8.
-	PCOPhaseSteps int
-	// PeakSamples is the per-interval dense-sampling resolution used when
-	// evaluating non-step-up schedules (PCO). Defaults to 24.
-	PeakSamples int
 	// Workers sets the worker-pool width of AO/PCO's parallel candidate
 	// scans: the m-search, the TPT reduction / headroom-refill / dense
 	// verification trial evaluations, and PCO's phase search; and of
@@ -69,19 +60,6 @@ type Problem struct {
 	// tight thresholds (e.g. the 9-core platform at Tmax = 50 °C in
 	// Fig. 7) feasible at all.
 	DisallowOff bool
-	// ClassicEval selects the reference evaluator for the whole AO/PCO
-	// solve (it is read once, when the solve picks its evaluator): a full
-	// sequential-order m-scan with per-candidate schedule construction and
-	// per-evaluation allocation, exactly the pre-arena code path. The
-	// default (false) uses the arena evaluator — composed eigenbasis
-	// screening of m candidates with quasi-convexity-aware early
-	// termination, plus pooled per-solve arenas for the phase-3 trial
-	// loops and PCO. Both return bit-identical plans (peak, throughput,
-	// schedule segments, chosen m); they differ only in Evals/MEvaluated
-	// accounting and speed. The classic path backs the differential tests
-	// and is the fallback if the incremental m-search's quasi-convexity
-	// assumption (Theorem 5) is ever in doubt for an exotic platform.
-	ClassicEval bool
 	// Ctx, when non-nil, cancels the long-running searches: the AO/PCO
 	// m-search, TPT/refill/dense adjustment loops, PCO's phase search, and
 	// the EXS branch-and-bound all observe it and abort with ctx.Err().
@@ -93,6 +71,18 @@ type Problem struct {
 	// way (see sim.Engine); the engine's model must equal Model.
 	Engine *sim.Engine
 }
+
+// Fixed tuning of the AO/PCO search.
+const (
+	// tUnitFrac is the TPT adjustment quantum t_unit as a fraction of the
+	// oscillation cycle.
+	tUnitFrac = 1.0 / 200
+	// pcoPhaseSteps is the number of phase offsets PCO tries per core.
+	pcoPhaseSteps = 8
+	// peakSamples is the per-interval dense-sampling resolution of the
+	// peak of a non-step-up schedule (PCO's phase-shifted cycles).
+	peakSamples = 24
+)
 
 // withDefaults returns a copy of p with zero fields replaced by defaults.
 func (p Problem) withDefaults() (Problem, error) {
@@ -116,20 +106,6 @@ func (p Problem) withDefaults() (Problem, error) {
 	}
 	if p.MaxM == 0 {
 		p.MaxM = 4096
-	}
-	if p.TUnitFrac == 0 {
-		p.TUnitFrac = 1.0 / 200
-	}
-	if math.IsNaN(p.TUnitFrac) || p.TUnitFrac < 1e-9 || p.TUnitFrac > 0.5 {
-		// The floor keeps ⌈1/TUnitFrac⌉ adjustment quanta representable:
-		// a subnormal fraction would overflow the AO/PCO iteration budget.
-		return p, fmt.Errorf("solver: TUnitFrac %v outside [1e-9, 0.5]", p.TUnitFrac)
-	}
-	if p.PCOPhaseSteps == 0 {
-		p.PCOPhaseSteps = 8
-	}
-	if p.PeakSamples == 0 {
-		p.PeakSamples = 24
 	}
 	if p.Workers < 0 {
 		return p, fmt.Errorf("solver: negative worker count %d", p.Workers)
@@ -207,8 +183,7 @@ type Result struct {
 	// managed to evaluate before the deadline. On a complete run the
 	// incremental evaluator may stop early once the peak-vs-m curve has
 	// risen decisively (Theorem 5 quasi-convexity), so this can be less
-	// than the full scan width; Problem.ClassicEval restores the
-	// exhaustive count. 0 for solvers without an m-search.
+	// than the full scan width. 0 for solvers without an m-search.
 	MEvaluated int
 }
 

@@ -248,9 +248,6 @@ func sparseDominantTau(chol *mat.SparseCholesky, cDiag []float64) float64 {
 	return tau
 }
 
-// Algebra returns the effective linear-algebra backend.
-func (md *Model) Algebra() Algebra { return md.alg }
-
 // SparsePath reports whether the model runs on the sparse backend (no
 // eigendecomposition: Eigen returns nil and callers must use the sparse
 // stepping/solve primitives).

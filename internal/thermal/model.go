@@ -149,16 +149,6 @@ func NewHeteroModel(fp *floorplan.Floorplan, pp PackageParams, pm power.Model, s
 	}, cfg)
 }
 
-// MustModel is NewModel that panics on error, for tests and examples with
-// known-good parameters.
-func MustModel(fp *floorplan.Floorplan, pp PackageParams, pm power.Model) *Model {
-	m, err := NewModel(fp, pp, pm)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Default builds the layered model for a rows×cols grid with the
 // repository's calibrated defaults (HotSpot65nm package, DefaultModel
 // power, 4 mm cores).

@@ -217,7 +217,7 @@ func TestDiffAutoCrossover(t *testing.T) {
 		}
 		wantSparse := md.NumNodes() >= thermal.SparseCrossoverDim
 		if md.SparsePath() != wantSparse {
-			t.Errorf("%s: dim %d on %s backend", g.Name, md.NumNodes(), md.Algebra())
+			t.Errorf("%s: dim %d with sparse backend %v, want %v", g.Name, md.NumNodes(), md.SparsePath(), wantSparse)
 		}
 		if md.SparsePath() && md.Eigen() != nil {
 			t.Errorf("%s: sparse model carries an eigendecomposition", g.Name)

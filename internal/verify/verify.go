@@ -52,8 +52,8 @@ type Params struct {
 // docs/VERIFY.md; zero values select them.
 type Options struct {
 	// Samples is the per-interval dense-sampling resolution used for the
-	// differential against the claimed peak. Default 24 — the solvers'
-	// PeakSamples default, so the comparison isolates arithmetic (Padé
+	// differential against the claimed peak. Default 24 — the solver's
+	// peakSamples constant, so the comparison isolates arithmetic (Padé
 	// exponential vs eigenbasis), not grid placement.
 	Samples int
 	// FineSamples is the denser grid used for the Tmax and Theorem-1

@@ -108,21 +108,6 @@ func WithConvectionR(rKPerW float64) Option {
 	}
 }
 
-// WithPowerCoefficients overrides the power-model coefficients of
-// P = alpha + alphaV·v + beta·ΔT + gamma·v³ (watts, volts, kelvin).
-func WithPowerCoefficients(alpha, alphaV, beta, gamma float64) Option {
-	return func(c *config) error {
-		if gamma <= 0 {
-			return fmt.Errorf("thermosc: non-positive dynamic power coefficient %v", gamma)
-		}
-		if beta < 0 {
-			return fmt.Errorf("thermosc: negative leakage slope %v", beta)
-		}
-		c.pwr = power.Model{Alpha: alpha, AlphaV: alphaV, Beta: beta, Gamma: gamma}
-		return nil
-	}
-}
-
 // WithCoreLevelModel switches to the simplified single-node-per-core
 // thermal model (the model class the paper's proofs assume exactly) with
 // the repository's default parameters.

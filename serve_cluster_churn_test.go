@@ -357,7 +357,7 @@ func TestClusterAsymmetricPartition(t *testing.T) {
 	tc.srvs[b].cluster.rejectSync.Store(true)
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if err := tc.srvs[a].SyncPeer(ctx, bURL); err == nil {
+		if _, err := tc.srvs[a].cluster.syncNow(ctx, bURL); err == nil {
 			t.Fatal("sync through the partition succeeded")
 		}
 	}
@@ -365,7 +365,7 @@ func TestClusterAsymmetricPartition(t *testing.T) {
 		t.Fatalf("A's view of B after 2 failed gossips: %q, want dead", got)
 	}
 	// The asymmetry: B still reaches A fine and considers it alive.
-	if err := tc.srvs[b].SyncPeer(ctx, aURL); err != nil {
+	if _, err := tc.srvs[b].cluster.syncNow(ctx, aURL); err != nil {
 		t.Fatalf("B→A sync failed: %v", err)
 	}
 	if got := tc.srvs[b].cluster.health.State(aURL); got != cluster.StateAlive {
@@ -383,13 +383,13 @@ func TestClusterAsymmetricPartition(t *testing.T) {
 	// Heal: the first successful gossip round converges the pair, handing
 	// B the write it missed; the second walks B out of probation.
 	tc.srvs[b].cluster.rejectSync.Store(false)
-	if err := tc.srvs[a].SyncPeer(ctx, bURL); err != nil {
+	if _, err := tc.srvs[a].cluster.syncNow(ctx, bURL); err != nil {
 		t.Fatalf("first post-heal sync: %v", err)
 	}
 	if _, ok := tc.srvs[b].cluster.store.Get(planKeyFor(t, bBody)); !ok {
 		t.Fatal("the first healing round did not deliver the missed write to B")
 	}
-	if err := tc.srvs[a].SyncPeer(ctx, bURL); err != nil {
+	if _, err := tc.srvs[a].cluster.syncNow(ctx, bURL); err != nil {
 		t.Fatalf("second post-heal sync: %v", err)
 	}
 	if got := tc.srvs[a].cluster.health.State(bURL); got != cluster.StateAlive {

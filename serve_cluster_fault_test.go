@@ -104,7 +104,7 @@ func TestClusterPartitionAndHeal(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	failsBefore := tc.srvs[0].cluster.syncFails.Load()
-	if err := tc.srvs[0].SyncPeer(ctx, tc.urls[2]); err == nil {
+	if _, err := tc.srvs[0].cluster.syncNow(ctx, tc.urls[2]); err == nil {
 		t.Fatal("sync against a partitioned replica succeeded")
 	}
 	if got := tc.srvs[0].cluster.syncFails.Load(); got <= failsBefore {
@@ -114,7 +114,7 @@ func TestClusterPartitionAndHeal(t *testing.T) {
 		t.Fatalf("partitioned replica received %d entries", got)
 	}
 	// Replica 1 still converges with replica 0.
-	if err := tc.srvs[1].SyncPeer(ctx, tc.urls[0]); err != nil {
+	if _, err := tc.srvs[1].cluster.syncNow(ctx, tc.urls[0]); err != nil {
 		t.Fatalf("healthy pair sync failed: %v", err)
 	}
 	if got := tc.srvs[1].cluster.store.Len(); got == 0 {

@@ -869,14 +869,3 @@ func (s *Server) CloseIdlePeerConnections() {
 		s.cluster.client.CloseIdleConnections()
 	}
 }
-
-// SyncPeer runs one anti-entropy round against the given peer now
-// (also what the background gossip loop does on its timer). Exposed for
-// operational tooling and tests; errors when clustering is disabled.
-func (s *Server) SyncPeer(ctx context.Context, peer string) error {
-	if s.cluster == nil {
-		return fmt.Errorf("thermosc: clustering is not enabled")
-	}
-	_, err := s.cluster.syncNow(ctx, strings.TrimRight(peer, "/"))
-	return err
-}

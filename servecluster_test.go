@@ -156,7 +156,7 @@ func (tc *testCluster) syncAll(t *testing.T) {
 				if j == i || tc.https[j] == nil {
 					continue
 				}
-				if err := srv.SyncPeer(ctx, peer); err != nil {
+				if _, err := srv.cluster.syncNow(ctx, peer); err != nil {
 					t.Fatalf("sync %s -> %s: %v", tc.urls[i], peer, err)
 				}
 			}

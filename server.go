@@ -637,13 +637,6 @@ func (s *Server) runAudit(plat *Platform, plan *Plan, tmaxC float64) {
 	s.brk.record(ok)
 }
 
-// waitAudits blocks until every in-flight async audit has finished
-// (tests use it to observe the counters deterministically);
-// waitRefreshes does the same for stale-plan refreshes.
-func (s *Server) waitAudits() { s.auditWG.Wait() }
-
-func (s *Server) waitRefreshes() { s.refreshWG.Wait() }
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// Shutdown drain and cluster drain both report here: peer failure
 	// detectors read /healthz, so flipping it is what makes the rest of

@@ -311,3 +311,10 @@ func TestServeShutdownDrains(t *testing.T) {
 		t.Fatalf("second shutdown: %v", err)
 	}
 }
+
+// waitAudits blocks until every in-flight async audit has finished, so
+// tests observe the counters deterministically; waitRefreshes does the
+// same for stale-plan refreshes.
+func (s *Server) waitAudits() { s.auditWG.Wait() }
+
+func (s *Server) waitRefreshes() { s.refreshWG.Wait() }

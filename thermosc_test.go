@@ -43,12 +43,6 @@ func TestNewErrors(t *testing.T) {
 	if _, err := New(2, 1, WithConvectionR(0)); err == nil {
 		t.Fatal("zero convection resistance must error")
 	}
-	if _, err := New(2, 1, WithPowerCoefficients(1, 1, -0.1, 6)); err == nil {
-		t.Fatal("negative leakage slope must error")
-	}
-	if _, err := New(2, 1, WithPowerCoefficients(1, 1, 0.05, 0)); err == nil {
-		t.Fatal("zero gamma must error")
-	}
 	if _, err := New(2, 1, WithPaperLevels(7)); err == nil {
 		t.Fatal("undefined paper level count must error")
 	}
