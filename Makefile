@@ -47,6 +47,7 @@ bench:
 # Machine-readable benchmark report + three-dimension regression gate
 # (ns/op, allocs/op, bytes/op) against the checked-in baseline, plus a
 # before/after comparison table for the CI artifact (see docs/PERF.md).
+# The rows are bench_test.go benchmarks, run through go test -bench.
 # The parallel-speedup floor only binds when GOMAXPROCS > 1 — CI's bench
 # job runs on a multi-core runner and sets MIN_PAR_SPEEDUP.
 MIN_PAR_SPEEDUP ?= 0
@@ -69,6 +70,7 @@ fuzz:
 	$(GO) test . -run '^$$' -fuzz FuzzServeRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzPlanStoreSync -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzFileStoreRecover -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/floorplan -run '^$$' -fuzz FuzzGenSpec -fuzztime $(FUZZTIME)
 
 # Quick CI smoke pass over the same fuzz targets.
 fuzz-smoke:

@@ -12,9 +12,18 @@ package thermosc_test
 // machines and revisions.
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"thermosc"
 
@@ -84,16 +93,6 @@ func benchProblem(b *testing.B, rows, cols, levels int, tmax float64) solver.Pro
 
 func BenchmarkAO3x1(b *testing.B) {
 	p := benchProblem(b, 3, 1, 2, 65)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := solver.AO(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAO3x3(b *testing.B) {
-	p := benchProblem(b, 3, 3, 2, 55)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := solver.AO(p); err != nil {
@@ -229,22 +228,28 @@ func BenchmarkPeriodCache9(b *testing.B) {
 	}
 }
 
-// --- evaluation-engine benchmarks ---------------------------------------
+// --- gated benchmarks ----------------------------------------------------
+//
+// These are the rows of BENCH_ao.json, in report order, and the
+// dense-vs-sparse crossover sweep: cmd/thermosc-bench runs them through
+// `go test -bench` and gates the result. Rerun one row by hand with, e.g.,
+//
+//	go test -run '^$' -bench '^BenchmarkServeBurst$' -benchmem .
 
-// BenchmarkAOSearch pits the sequential reference m-search (Workers=1)
-// against the worker-pool fan-out (Workers=GOMAXPROCS). Both produce
-// bit-identical plans (see internal/solver/determinism_test.go); the
-// ratio seq/par is the parallel speedup reported by cmd/thermosc-bench.
-// On a single-CPU machine the two coincide — the speedup only shows at
-// 4+ cores (the CI bench job).
+// BenchmarkAOSearch pits the sequential reference m-search (Workers=1,
+// row ao_search_seq) against the worker-pool fan-out (Workers=GOMAXPROCS,
+// row ao_search_par). Both produce bit-identical plans (see
+// internal/solver/determinism_test.go); the ratio seq/par is the parallel
+// speedup reported by cmd/thermosc-bench. On a single-CPU machine the two
+// coincide — the speedup only shows at 4+ cores (the CI bench job).
 func BenchmarkAOSearch(b *testing.B) {
-	for name, workers := range map[string]int{
-		"seq": 1,
-		"par": runtime.GOMAXPROCS(0),
-	} {
-		b.Run(name, func(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"seq", 1}, {"par", runtime.GOMAXPROCS(0)}} {
+		b.Run(bc.name, func(b *testing.B) {
 			p := benchProblem(b, 3, 3, 2, 55)
-			p.Workers = workers
+			p.Workers = bc.workers
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := solver.AO(p); err != nil {
@@ -255,8 +260,48 @@ func BenchmarkAOSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkAOAnytimeHalfBudget is the degraded path (row
+// ao_anytime_halfbudget): the sequential AO solve of BenchmarkAOSearch
+// under a context deadline of half its median full-solve time on this
+// machine, so the deadline lands mid-search on fast and slow hardware
+// alike, walked through the truncate-or-floor chain the serving layer
+// uses. Its ns/op is bounded by the budget, so the row gates the cost of
+// serving under starvation, not the search.
+func BenchmarkAOAnytimeHalfBudget(b *testing.B) {
+	p := benchProblem(b, 3, 3, 2, 55)
+	p.Workers = 1
+	times := make([]time.Duration, 5)
+	for i := range times {
+		start := time.Now()
+		if _, err := solver.AO(p); err != nil {
+			b.Fatal(err)
+		}
+		times[i] = time.Since(start)
+	}
+	slices.Sort(times)
+	budget := times[len(times)/2] / 2
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
+		q := p
+		q.Ctx = ctx
+		// A complete plan and a tagged best-so-far both keep the anytime
+		// contract; a deadline before any incumbent falls to the floor.
+		res, err := solver.AO(q)
+		if errors.Is(err, solver.ErrDeadline) {
+			_, err = solver.SafeFloor(q)
+		} else if err == nil && res.Schedule == nil {
+			err = errors.New("no schedule and no error")
+		}
+		cancel()
+		if err != nil {
+			b.Fatalf("anytime solve broke its contract: %v", err)
+		}
+	}
+}
+
 // BenchmarkPeakEval compares the three stable-status peak evaluators on
-// the 9-core platform:
+// the 9-core platform (rows peak_eval_<name>):
 //
 //	classic  — NewStableCached + PeakEndOfPeriod against a bare
 //	           PeriodCache (the pre-engine hot path),
@@ -282,16 +327,7 @@ func BenchmarkPeakEval(b *testing.B) {
 		}
 	})
 	b.Run("engine", func(b *testing.B) {
-		eng := sim.NewEngine(md)
-		if _, _, err := eng.StepUpPeak(s); err != nil { // warm the caches
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.StepUpPeak(s); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchWarmPeak(b, md, s)
 	})
 	b.Run("composed", func(b *testing.B) {
 		eng := sim.NewEngine(md)
@@ -310,38 +346,10 @@ func BenchmarkPeakEval(b *testing.B) {
 	})
 }
 
-// --- sparse-backend benchmarks ------------------------------------------
-
-func benchSparse256(b *testing.B) (*thermal.Model, *schedule.Schedule) {
+// benchWarmPeak times one stable-peak evaluation of s through a sim.Engine
+// whose caches an untimed first evaluation has warmed.
+func benchWarmPeak(b *testing.B, md *thermal.Model, s *schedule.Schedule) {
 	b.Helper()
-	md, err := thermal.BuildGen(floorplan.BigLittleStacked(8, 8, 4, 0.5, 4), power.DefaultModel())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !md.SparsePath() {
-		b.Fatal("256-core platform on the dense backend")
-	}
-	specs := make([]schedule.TwoModeSpec, md.NumCores())
-	for i := range specs {
-		specs[i] = schedule.TwoModeSpec{
-			Low:       power.NewMode(0.6),
-			High:      power.NewMode(1.3),
-			HighRatio: 0.3 + 0.05*float64(i%8),
-		}
-	}
-	s, err := schedule.TwoMode(20e-3, specs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return md, s
-}
-
-// BenchmarkPeakEvalSparse measures one warmed stable-peak evaluation on
-// the 256-core stacked big.LITTLE platform through the sparse backend
-// (PCG stable start + exponential actions; mirrored by the CI entry
-// peak_eval_sparse_256).
-func BenchmarkPeakEvalSparse(b *testing.B) {
-	md, s := benchSparse256(b)
 	eng := sim.NewEngine(md)
 	if _, _, err := eng.StepUpPeak(s); err != nil {
 		b.Fatal(err)
@@ -354,9 +362,79 @@ func BenchmarkPeakEvalSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkAOSearch256 is the headline scale solve: full AO on the
-// 256-core stacked big.LITTLE platform (sparse backend + scale policy;
-// mirrored by the CI entry ao_search_256, which also gates it).
+func benchSparse256(b *testing.B) (*thermal.Model, *schedule.Schedule) {
+	b.Helper()
+	md, err := thermal.BuildGen(floorplan.BigLittleStacked(8, 8, 4, 0.5, 4), power.DefaultModel())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !md.SparsePath() {
+		b.Fatal("256-core platform on the dense backend")
+	}
+	s, err := schedule.TwoMode(20e-3, benchSpecs(md.NumCores()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return md, s
+}
+
+// BenchmarkPeakEvalSparse measures one warmed stable-peak evaluation on
+// the 256-core stacked big.LITTLE platform through the sparse backend
+// (PCG stable start + exponential actions; row peak_eval_sparse_256).
+func BenchmarkPeakEvalSparse(b *testing.B) {
+	md, s := benchSparse256(b)
+	benchWarmPeak(b, md, s)
+}
+
+// BenchmarkServeBurst is the serving path (row serve_burst): one op is 16
+// concurrent /v1/maximize requests on mesh-3x3, zipf-skewed over four
+// thresholds (8/4/2/2) — the shape production bursts take, a few hot
+// thresholds on a hot platform — through a fresh default-config server,
+// so the singleflight, the plan cache and the shared per-platform engine
+// all start cold.
+func BenchmarkServeBurst(b *testing.B) {
+	var bodies [][]byte
+	for ki, reps := range []int{8, 4, 2, 2} {
+		body, err := json.Marshal(thermosc.MaximizeRequest{
+			Platform: thermosc.PlatformSpec{Rows: 3, Cols: 3, PaperLevels: 2},
+			TmaxC:    []float64{55, 58, 61, 64}[ki],
+			Method:   thermosc.MethodAO,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for r := 0; r < reps; r++ {
+			bodies = append(bodies, body)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv := thermosc.NewServer(thermosc.ServerConfig{})
+		codes := make(chan int, len(bodies))
+		var wg sync.WaitGroup
+		for _, body := range bodies {
+			wg.Add(1)
+			go func(body []byte) {
+				defer wg.Done()
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/maximize", bytes.NewReader(body)))
+				codes <- rec.Code
+			}(body)
+		}
+		wg.Wait()
+		close(codes)
+		for code := range codes {
+			if code != http.StatusOK {
+				b.Fatalf("burst request answered %d", code)
+			}
+		}
+	}
+}
+
+// BenchmarkAOSearch256 is the headline scale solve (row ao_search_256):
+// full AO on the 256-core stacked big.LITTLE platform (sparse backend +
+// scale policy). A degraded or infeasible plan fails the run outright, so
+// a scale-policy regression cannot pass as a faster number.
 func BenchmarkAOSearch256(b *testing.B) {
 	md, _ := benchSparse256(b)
 	ls, err := power.PaperLevels(3)
@@ -370,8 +448,46 @@ func BenchmarkAOSearch256(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Feasible {
-			b.Fatal("256-core AO lost feasibility")
+		if !res.Feasible || res.Degraded != solver.DegradedNone {
+			b.Fatalf("256-core AO plan: feasible %v, degraded %q", res.Feasible, res.Degraded)
+		}
+	}
+}
+
+// BenchmarkCrossover runs the same meshes on both thermal algebra
+// backends across the sizes that bracket thermal.SparseCrossoverDim, so
+// the report shows where the sparse path overtakes the dense one on this
+// machine. build is the backend's one-time factorization (Jacobi
+// eigendecomposition + SPD inverse densely; sparse Cholesky +
+// power-iteration τ on the sparse path) and reports the model's thermal
+// node count as "nodes"; eval is one warmed stable-peak evaluation, the
+// cost the solvers pay afterwards.
+func BenchmarkCrossover(b *testing.B) {
+	for _, rows := range []int{4, 6, 8, 10, 12} {
+		g := floorplan.Mesh(rows, rows)
+		for _, alg := range []thermal.Algebra{thermal.AlgebraDense, thermal.AlgebraSparse} {
+			build := func(b *testing.B) *thermal.Model {
+				md, err := thermal.BuildGen(g, power.DefaultModel(), thermal.WithAlgebra(alg))
+				if err != nil {
+					b.Fatal(err)
+				}
+				return md
+			}
+			b.Run(g.Name+"/"+alg.String()+"/build", func(b *testing.B) {
+				var md *thermal.Model
+				for i := 0; i < b.N; i++ {
+					md = build(b)
+				}
+				b.ReportMetric(float64(md.NumNodes()), "nodes")
+			})
+			b.Run(g.Name+"/"+alg.String()+"/eval", func(b *testing.B) {
+				md := build(b)
+				s, err := schedule.TwoMode(20e-3, benchSpecs(md.NumCores()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchWarmPeak(b, md, s)
+			})
 		}
 	}
 }

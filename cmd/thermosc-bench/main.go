@@ -1,39 +1,38 @@
-// Command thermosc-bench runs the evaluation-engine benchmark suite and
-// emits a machine-readable report (BENCH_ao.json) for the CI regression
-// gate.
+// Command thermosc-bench runs the gated benchmarks of the root package's
+// bench_test.go and emits a machine-readable report (BENCH_ao.json) for the
+// CI regression gate.
 //
 // Usage:
 //
 //	thermosc-bench [-out BENCH_ao.json] [-baseline BENCH_ao.json] \
-//	               [-max-regression 2.0] [-benchtime 1s]
+//	               [-min-par-speedup 1.2] [-compare-out bench_compare.md]
 //
-// The suite mirrors BenchmarkAOSearch and BenchmarkPeakEval in
-// bench_test.go: the AO solver with the sequential reference m-search
-// (workers=1) and the worker-pool fan-out (workers=GOMAXPROCS), plus the
-// three stable-status peak evaluators (classic, engine-cached, and the
-// m-search's composed screening step: EvalArena.SetTwoMode plus
-// ComposedEndPeak on one arena),
-// plus the degraded path: an AO solve whose context deadline is half the
-// median full-solve time, walked through the same truncate-or-floor
-// chain the serving layer uses. Its ns/op is bounded by the budget, so
-// the entry gates the cost of SERVING under starvation, not the search.
+// Each report row is one benchmark of bench_test.go, named in the rows
+// table below, and the informational dense-vs-sparse crossover table is
+// BenchmarkCrossover. The command runs
 //
-// With -baseline the report is compared entry-by-entry against a previous
-// run on THREE dimensions: any benchmark whose ns/op, allocs/op, or
-// bytes/op exceeds its regression limit (-max-regression, default 2.0;
-// -max-alloc-regression and -max-bytes-regression, default 1.5) times the
-// baseline fails the gate and the process exits 1. Time is noisy across
-// runners, so it gets the loose 2× limit; allocation counts and bytes are
-// deterministic properties of the code, so they get the tight 1.5× limit
-// that catches an accidentally reintroduced per-candidate allocation long
-// before it costs 2× wall clock; against a zero allocs/op or bytes/op
-// baseline any allocation fails. Baseline entries missing from the
-// current run (or vice versa) are reported but never fail the gate, so
-// the suite can grow. A missing baseline file bootstraps the gate: the
-// current report is written there and the run exits 0, so a fresh
-// checkout's first CI run seeds the baseline instead of failing.
-// Baselines written by the v1 schema are accepted (they carry the same
-// per-entry fields); the report written back is always v2.
+//	go test -run '^$' -bench <pattern> -benchmem -count 1 thermosc
+//
+// with the pattern that table yields and reads the result lines back, so
+// a row reruns by hand under its benchmark name, e.g.
+//
+//	go test -run '^$' -bench '^BenchmarkServeBurst$' -benchmem .
+//
+// The report's gomaxprocs is the -P suffix go test appends to each
+// benchmark name (absent at GOMAXPROCS=1). A failed benchmark or a
+// missing row is an error.
+//
+// With -baseline the report is compared row by row against a previous
+// run on THREE dimensions: any row whose ns/op exceeds 2.0× its baseline,
+// or whose allocs/op or bytes/op exceeds 1.5×, fails the gate and the
+// process exits 1. Time is noisy across runners, so it gets the loose 2×
+// limit; allocation counts and bytes are deterministic properties of the
+// code, so they get the tight 1.5× limit that catches an accidentally
+// reintroduced per-candidate allocation long before it costs 2× wall
+// clock; against a zero allocs/op or bytes/op baseline any allocation
+// fails. A row the baseline lacks is reported but never fails the gate,
+// so the suite can grow. A missing baseline fails the gate like any
+// unreadable one; -out writes a fresh one.
 //
 // -min-par-speedup gates the measured ao_search seq/par parallel speedup
 // — but only when the run itself has GOMAXPROCS > 1; a single-CPU runner
@@ -46,37 +45,58 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
+	"io"
 	"os"
+	"os/exec"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
-	"testing"
-	"time"
 
-	"thermosc"
-	"thermosc/internal/floorplan"
-	"thermosc/internal/power"
-	"thermosc/internal/schedule"
-	"thermosc/internal/sim"
-	"thermosc/internal/solver"
 	"thermosc/internal/thermal"
 )
 
 // Schema identifies the report layout; bump on incompatible changes.
-// v2 added the gomaxprocs field and the alloc/bytes gate dimensions; v1
-// baselines are still accepted by the gate (same per-entry fields).
+const Schema = "thermosc-bench/v2"
+
+// The gate's regression limits, as multiples of the baseline.
 const (
-	Schema   = "thermosc-bench/v2"
-	SchemaV1 = "thermosc-bench/v1"
+	maxNsRegression    = 2.0
+	maxAllocRegression = 1.5
+	maxBytesRegression = 1.5
 )
+
+// rows maps each report row, in report order, to the bench_test.go
+// benchmark that measures it (its go test name without the -P suffix).
+var rows = []struct{ name, bench string }{
+	{"ao_search_seq", "BenchmarkAOSearch/seq"},
+	{"ao_search_par", "BenchmarkAOSearch/par"},
+	{"ao_anytime_halfbudget", "BenchmarkAOAnytimeHalfBudget"},
+	{"peak_eval_classic", "BenchmarkPeakEval/classic"},
+	{"peak_eval_engine", "BenchmarkPeakEval/engine"},
+	{"peak_eval_composed", "BenchmarkPeakEval/composed"},
+	{"peak_eval_sparse_256", "BenchmarkPeakEvalSparse"},
+	{"serve_burst", "BenchmarkServeBurst"},
+	{"ao_search_256", "BenchmarkAOSearch256"},
+}
+
+// crossoverBench is the dense-vs-sparse sweep; its results are named
+// BenchmarkCrossover/<mesh>/<dense|sparse>/<build|eval>, and the build
+// rows report the model's thermal node count as "nodes".
+const crossoverBench = "BenchmarkCrossover"
+
+// speedups names each reported speedup and the rows whose ns/op ratio it
+// is (reference over measured).
+var speedups = map[string][2]string{
+	"ao_search":          {"ao_search_seq", "ao_search_par"},
+	"peak_eval_engine":   {"peak_eval_classic", "peak_eval_engine"},
+	"peak_eval_composed": {"peak_eval_classic", "peak_eval_composed"},
+}
 
 // Entry is one benchmark measurement.
 type Entry struct {
@@ -123,13 +143,10 @@ type Report struct {
 
 func main() {
 	var (
-		out      = flag.String("out", "BENCH_ao.json", "report output path ('-' for stdout only)")
-		basePth  = flag.String("baseline", "", "baseline report to gate against (empty = no gate)")
-		maxReg   = flag.Float64("max-regression", 2.0, "fail if ns/op exceeds this multiple of the baseline")
-		maxAlloc = flag.Float64("max-alloc-regression", 1.5, "fail if allocs/op exceeds this multiple of the baseline")
-		maxBytes = flag.Float64("max-bytes-regression", 1.5, "fail if bytes/op exceeds this multiple of the baseline")
-		minPar   = flag.Float64("min-par-speedup", 0, "fail if the ao_search seq/par speedup falls below this (0 = no floor; waived when GOMAXPROCS is 1)")
-		cmpOut   = flag.String("compare-out", "", "write a baseline-vs-current markdown comparison table here")
+		out     = flag.String("out", "BENCH_ao.json", "report output path ('-' for stdout only)")
+		basePth = flag.String("baseline", "", "baseline report to gate against (empty = no gate)")
+		minPar  = flag.Float64("min-par-speedup", 0, "fail if the ao_search seq/par speedup falls below this (0 = no floor; waived when GOMAXPROCS is 1)")
+		cmpOut  = flag.String("compare-out", "", "write a baseline-vs-current markdown comparison table here")
 	)
 	flag.Parse()
 
@@ -180,18 +197,12 @@ func main() {
 	}
 
 	if *basePth != "" {
-		lim := limits{ns: *maxReg, allocs: *maxAlloc, bytes: *maxBytes}
-		bootstrapped, err := gate(rep, *basePth, lim, *cmpOut)
-		if err != nil {
+		if err := gate(rep, *basePth, *cmpOut); err != nil {
 			fmt.Fprintf(os.Stderr, "thermosc-bench: FAIL: %v\n", err)
 			os.Exit(1)
 		}
-		if bootstrapped {
-			fmt.Printf("no baseline at %s: wrote the current report as the new baseline\n", *basePth)
-		} else {
-			fmt.Printf("gate passed: no benchmark regressed beyond %.1fx ns, %.1fx allocs, %.1fx bytes vs %s\n",
-				*maxReg, *maxAlloc, *maxBytes, *basePth)
-		}
+		fmt.Printf("gate passed: no benchmark regressed beyond %.1fx ns, %.1fx allocs, %.1fx bytes vs %s\n",
+			maxNsRegression, maxAllocRegression, maxBytesRegression, *basePth)
 	} else if *cmpOut != "" {
 		if err := writeCompare(*cmpOut, nil, rep); err != nil {
 			fmt.Fprintf(os.Stderr, "thermosc-bench: %v\n", err)
@@ -200,391 +211,153 @@ func main() {
 	}
 }
 
-// run executes the suite. Benchmark bodies intentionally mirror
-// bench_test.go so `go test -bench` and CI measure the same code paths;
-// testing.Benchmark grows b.N until each measurement covers ~1 s.
+// run executes the suite through go test and reads the report from its
+// output. go test's output is echoed to stderr as it runs, so -out - keeps
+// stdout for the report.
 func run() (*Report, error) {
-	md, err := thermal.Default(3, 3)
+	var out bytes.Buffer
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", benchPattern(), "-benchmem", "-count", "1", "thermosc")
+	cmd.Stdout = io.MultiWriter(os.Stderr, &out)
+	cmd.Stderr = os.Stderr
+	if err := cmd.Run(); err != nil {
+		return nil, fmt.Errorf("go test: %w", err)
+	}
+	rep, err := parseBench(out.String())
 	if err != nil {
 		return nil, err
 	}
-	ls, err := power.PaperLevels(2)
-	if err != nil {
-		return nil, err
-	}
-	aoProblem := func(workers int) solver.Problem {
-		return solver.Problem{
-			Model: md, Levels: ls, TmaxC: 55,
-			Overhead: power.DefaultOverhead(), Workers: workers,
-		}
-	}
-	specs := make([]schedule.TwoModeSpec, md.NumCores())
-	for i := range specs {
-		specs[i] = schedule.TwoModeSpec{
-			Low:       power.NewMode(0.6),
-			High:      power.NewMode(1.3),
-			HighRatio: 0.3 + 0.05*float64(i%8),
-		}
-	}
-	sched, err := schedule.TwoMode(20e-3, specs)
-	if err != nil {
-		return nil, err
-	}
-	cache, err := sim.NewPeriodCache(md, sched.Period())
-	if err != nil {
-		return nil, err
-	}
-	engine := sim.NewEngine(md)
-	if _, _, err := engine.StepUpPeak(sched); err != nil {
-		return nil, err
-	}
-	// The m-search screens candidates on one arena per worker.
-	arena := engine.AcquireArena()
-	defer engine.ReleaseArena(arena)
+	rep.Schema = Schema
+	rep.GoVersion = runtime.Version()
+	rep.GOOS, rep.GOARCH = runtime.GOOS, runtime.GOARCH
+	rep.CPUs = runtime.NumCPU()
+	return rep, nil
+}
 
-	// The 256-core sparse-backend workload: the largest catalog platform
-	// (stacked + heterogeneous), the scale the serving layer now accepts.
-	bigGen := floorplan.BigLittleStacked(8, 8, 4, 0.5, 4)
-	bigMd, err := thermal.BuildGen(bigGen, power.DefaultModel())
-	if err != nil {
-		return nil, err
-	}
-	if !bigMd.SparsePath() {
-		return nil, fmt.Errorf("%s unexpectedly on the dense backend", bigGen.Name)
-	}
-	bigLs, err := power.PaperLevels(3)
-	if err != nil {
-		return nil, err
-	}
-	bigSpecs := make([]schedule.TwoModeSpec, bigMd.NumCores())
-	for i := range bigSpecs {
-		bigSpecs[i] = schedule.TwoModeSpec{
-			Low:       power.NewMode(0.6),
-			High:      power.NewMode(1.3),
-			HighRatio: 0.3 + 0.05*float64(i%8),
+// benchPattern is the go test -bench pattern that selects the benchmarks
+// of every row and the crossover sweep, and no other.
+func benchPattern() string {
+	var tops []string
+	for _, r := range rows {
+		top, _, _ := strings.Cut(r.bench, "/")
+		if !slices.Contains(tops, top) {
+			tops = append(tops, top)
 		}
 	}
-	bigSched, err := schedule.TwoMode(20e-3, bigSpecs)
-	if err != nil {
-		return nil, err
-	}
-	bigEngine := sim.NewEngine(bigMd)
-	if _, _, err := bigEngine.StepUpPeak(bigSched); err != nil {
-		return nil, err
-	}
-	bigProblem := func() solver.Problem {
-		return solver.Problem{
-			Model: bigMd, Levels: bigLs, TmaxC: 70,
-			Overhead: power.DefaultOverhead(), Workers: runtime.GOMAXPROCS(0),
-		}
-	}
+	return "^(" + strings.Join(append(tops, crossoverBench), "|") + ")$"
+}
 
-	// Budget for the degraded-path benchmark: half the median full AO
-	// solve time on THIS machine, so the deadline lands mid-search on
-	// fast and slow hardware alike.
-	times := make([]time.Duration, 5)
-	for i := range times {
-		start := time.Now()
-		if _, err := solver.AO(aoProblem(1)); err != nil {
-			return nil, err
+// parseBench reads `go test -bench -benchmem` output into a report: the
+// rows in report order, the crossover sweep in run order, the speedups,
+// and the GOMAXPROCS the benchmarks ran at. Output that reports a failure,
+// lacks a row, or holds an incomplete crossover sweep is an error.
+func parseBench(out string) (*Report, error) {
+	if strings.Contains(out, "--- FAIL") {
+		return nil, errors.New("a benchmark failed")
+	}
+	rep := &Report{GOMAXPROCS: 1}
+	results := map[string]Entry{}
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
 		}
-		times[i] = time.Since(start)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	halfBudget := times[len(times)/2] / 2
-	if halfBudget <= 0 {
-		halfBudget = time.Millisecond
-	}
-
-	// The serving-path burst: one op is 16 concurrent /v1/maximize
-	// requests on mesh-3x3, zipf-skewed over four thresholds (8/4/2/2) —
-	// the shape production bursts take (a few hot thresholds on a hot
-	// platform) — through a fresh default-config server, so the
-	// singleflight, the plan cache and the shared per-platform engine all
-	// start cold.
-	var burstBodies [][]byte
-	for ki, reps := range []int{8, 4, 2, 2} {
-		body, err := json.Marshal(thermosc.MaximizeRequest{
-			Platform: thermosc.PlatformSpec{Rows: 3, Cols: 3, PaperLevels: 2},
-			TmaxC:    []float64{55, 58, 61, 64}[ki],
-			Method:   thermosc.MethodAO,
-		})
+		name := f[0]
+		if i := strings.LastIndexByte(name, '-'); i >= 0 {
+			if p, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, rep.GOMAXPROCS = name[:i], p
+			}
+		}
+		n, err := strconv.Atoi(f[1])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: iteration count %q", name, f[1])
 		}
-		for r := 0; r < reps; r++ {
-			burstBodies = append(burstBodies, body)
+		e := Entry{N: n}
+		var nodes float64
+		for i := 2; i+1 < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %s %q", name, f[i+1], f[i])
+			}
+			switch f[i+1] {
+			case "ns/op":
+				e.NsPerOp = v
+			case "allocs/op":
+				e.AllocsPerOp = int64(v)
+			case "B/op":
+				e.BytesPerOp = int64(v)
+			case "nodes":
+				nodes = v
+			}
+		}
+		parts := strings.Split(name, "/")
+		if len(parts) != 4 || parts[0] != crossoverBench {
+			results[name] = e
+			continue
+		}
+		// go test runs a mesh's four cells one after another.
+		if k := len(rep.Crossover); k == 0 || rep.Crossover[k-1].Name != parts[1] {
+			rep.Crossover = append(rep.Crossover, CrossoverEntry{Name: parts[1]})
+		}
+		c := &rep.Crossover[len(rep.Crossover)-1]
+		switch parts[2] + "/" + parts[3] {
+		case "dense/build":
+			c.DenseBuildNs, c.Dim = e.NsPerOp, int(nodes)
+		case "sparse/build":
+			c.SparseBuildNs, c.Dim = e.NsPerOp, int(nodes)
+		case "dense/eval":
+			c.DenseEvalNs = e.NsPerOp
+		case "sparse/eval":
+			c.SparseEvalNs = e.NsPerOp
 		}
 	}
 
-	suite := []struct {
-		name string
-		body func(b *testing.B)
-	}{
-		{"ao_search_seq", func(b *testing.B) {
-			p := aoProblem(1)
-			for i := 0; i < b.N; i++ {
-				if _, err := solver.AO(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"ao_search_par", func(b *testing.B) {
-			p := aoProblem(runtime.GOMAXPROCS(0))
-			for i := 0; i < b.N; i++ {
-				if _, err := solver.AO(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"ao_anytime_halfbudget", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := aoProblem(1)
-				ctx, cancel := context.WithTimeout(context.Background(), halfBudget)
-				p.Ctx = ctx
-				res, err := solver.AO(p)
-				switch {
-				case err == nil && res.Schedule != nil:
-					// Complete or tagged best-so-far: either is a valid
-					// outcome of the anytime contract.
-				case err != nil && errors.Is(err, solver.ErrDeadline):
-					// Deadline before any incumbent: the chain's floor.
-					if _, err := solver.SafeFloor(p); err != nil {
-						cancel()
-						b.Fatal(err)
-					}
-				default:
-					cancel()
-					b.Fatalf("anytime solve broke its contract: res=%+v err=%v", res, err)
-				}
-				cancel()
-			}
-		}},
-		{"peak_eval_classic", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st, err := sim.NewStableCached(md, sched, cache)
-				if err != nil {
-					b.Fatal(err)
-				}
-				st.PeakEndOfPeriod()
-			}
-		}},
-		{"peak_eval_engine", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := engine.StepUpPeak(sched); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"peak_eval_composed", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := arena.SetTwoMode(20e-3, specs); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := arena.ComposedEndPeak(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"peak_eval_sparse_256", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := bigEngine.StepUpPeak(bigSched); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"serve_burst", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				srv := thermosc.NewServer(thermosc.ServerConfig{})
-				codes := make(chan int, len(burstBodies))
-				var wg sync.WaitGroup
-				for _, body := range burstBodies {
-					wg.Add(1)
-					go func(body []byte) {
-						defer wg.Done()
-						rec := httptest.NewRecorder()
-						srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/maximize", bytes.NewReader(body)))
-						codes <- rec.Code
-					}(body)
-				}
-				wg.Wait()
-				close(codes)
-				for code := range codes {
-					if code != http.StatusOK {
-						b.Fatalf("burst request answered %d", code)
-					}
-				}
-			}
-		}},
-		{"ao_search_256", func(b *testing.B) {
-			p := bigProblem()
-			for i := 0; i < b.N; i++ {
-				res, err := solver.AO(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Feasible || res.Degraded != solver.DegradedNone {
-					b.Fatalf("256-core AO lost feasibility: %+v", res)
-				}
-			}
-		}},
-	}
-
-	rep := &Report{
-		Schema:     Schema,
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		CPUs:       runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	byName := make(map[string]Entry, len(suite))
-	for _, bm := range suite {
-		body := bm.body
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			body(b)
-		})
-		if r.N == 0 {
-			return nil, fmt.Errorf("benchmark %s failed (zero iterations)", bm.name)
+	ns := map[string]float64{}
+	for _, r := range rows {
+		e, ok := results[r.bench]
+		if !ok {
+			return nil, fmt.Errorf("no result for row %s (%s)", r.name, r.bench)
 		}
-		e := Entry{
-			Name:        bm.name,
-			N:           r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
+		e.Name = r.name
 		rep.Benchmarks = append(rep.Benchmarks, e)
-		byName[e.Name] = e
+		ns[r.name] = e.NsPerOp
 	}
-
-	cross, err := crossoverSweep()
-	if err != nil {
-		return nil, err
+	if len(rep.Crossover) == 0 {
+		return nil, fmt.Errorf("no result for %s", crossoverBench)
 	}
-	rep.Crossover = cross
-
+	for _, c := range rep.Crossover {
+		if c.Dim == 0 || c.DenseBuildNs == 0 || c.SparseBuildNs == 0 || c.DenseEvalNs == 0 || c.SparseEvalNs == 0 {
+			return nil, fmt.Errorf("%s/%s lacks a result", crossoverBench, c.Name)
+		}
+	}
 	rep.Speedups = map[string]float64{}
-	if s, p := byName["ao_search_seq"], byName["ao_search_par"]; p.NsPerOp > 0 {
-		rep.Speedups["ao_search"] = s.NsPerOp / p.NsPerOp
-	}
-	if c, e := byName["peak_eval_classic"], byName["peak_eval_engine"]; e.NsPerOp > 0 {
-		rep.Speedups["peak_eval_engine"] = c.NsPerOp / e.NsPerOp
-	}
-	if c, co := byName["peak_eval_classic"], byName["peak_eval_composed"]; co.NsPerOp > 0 {
-		rep.Speedups["peak_eval_composed"] = c.NsPerOp / co.NsPerOp
+	for name, r := range speedups {
+		if d := ns[r[1]]; d > 0 {
+			rep.Speedups[name] = ns[r[0]] / d
+		}
 	}
 	return rep, nil
 }
 
-// crossoverSweep times one warmed stable-peak evaluation on the SAME
-// mesh through both algebra backends across the sizes that bracket
-// thermal.SparseCrossoverDim, so the -compare-out table shows where the
-// sparse path actually overtakes the dense one on this machine.
-func crossoverSweep() ([]CrossoverEntry, error) {
-	var out []CrossoverEntry
-	for _, rows := range []int{4, 6, 8, 10, 12} {
-		g := floorplan.Mesh(rows, rows)
-		var build, eval [2]float64
-		var dim int
-		for k, alg := range []thermal.Algebra{thermal.AlgebraDense, thermal.AlgebraSparse} {
-			// Build cost: the backend's one-time factorization (Jacobi
-			// eigendecomposition + SPD inverse densely; sparse Cholesky +
-			// power-iteration τ on the sparse path).
-			buildIters := 3
-			if rows >= 10 {
-				buildIters = 1 // dense builds are seconds here; one is enough
-			}
-			start := time.Now()
-			var md *thermal.Model
-			var err error
-			for i := 0; i < buildIters; i++ {
-				md, err = thermal.BuildGen(g, power.DefaultModel(), thermal.WithAlgebra(alg))
-				if err != nil {
-					return nil, fmt.Errorf("crossover %s %s: %w", g.Name, alg, err)
-				}
-			}
-			build[k] = float64(time.Since(start).Nanoseconds()) / float64(buildIters)
-			dim = md.NumNodes()
-
-			specs := make([]schedule.TwoModeSpec, md.NumCores())
-			for i := range specs {
-				specs[i] = schedule.TwoModeSpec{
-					Low:       power.NewMode(0.6),
-					High:      power.NewMode(1.3),
-					HighRatio: 0.3 + 0.05*float64(i%8),
-				}
-			}
-			sched, err := schedule.TwoMode(20e-3, specs)
-			if err != nil {
-				return nil, err
-			}
-			eng := sim.NewEngine(md)
-			if _, _, err := eng.StepUpPeak(sched); err != nil {
-				return nil, fmt.Errorf("crossover %s %s: %w", g.Name, alg, err)
-			}
-			const evalIters = 10
-			start = time.Now()
-			for i := 0; i < evalIters; i++ {
-				if _, _, err := eng.StepUpPeak(sched); err != nil {
-					return nil, err
-				}
-			}
-			eval[k] = float64(time.Since(start).Nanoseconds()) / evalIters
-		}
-		out = append(out, CrossoverEntry{
-			Name: g.Name, Dim: dim,
-			DenseBuildNs: build[0], SparseBuildNs: build[1],
-			DenseEvalNs: eval[0], SparseEvalNs: eval[1],
-		})
-	}
-	return out, nil
-}
-
-// limits are the per-dimension regression multipliers of the gate.
-type limits struct {
-	ns, allocs, bytes float64
-}
-
 // gate compares cur against the baseline report at baselinePath on all
 // three dimensions (time, allocation count, allocated bytes). A missing
-// baseline is not a failure: the current report is written there as the
-// new baseline and gate returns bootstrapped = true, so a fresh
-// checkout's first CI run seeds the gate instead of breaking it. When
-// cmpOut is non-empty the baseline-vs-current markdown table is written
-// there regardless of the verdict, so a failing CI run still uploads the
-// numbers that explain it.
-func gate(cur *Report, baselinePath string, lim limits, cmpOut string) (bootstrapped bool, err error) {
+// baseline fails like any unreadable one. When cmpOut is non-empty the
+// baseline-vs-current markdown table is written there regardless of the
+// verdict, so a failing CI run still uploads the numbers that explain it.
+func gate(cur *Report, baselinePath, cmpOut string) error {
 	data, err := os.ReadFile(baselinePath)
-	if errors.Is(err, os.ErrNotExist) {
-		b, err := json.MarshalIndent(cur, "", "  ")
-		if err != nil {
-			return false, err
-		}
-		if err := os.WriteFile(baselinePath, append(b, '\n'), 0o644); err != nil {
-			return false, fmt.Errorf("bootstrapping baseline: %w", err)
-		}
-		if cmpOut != "" {
-			if err := writeCompare(cmpOut, nil, cur); err != nil {
-				return false, err
-			}
-		}
-		return true, nil
-	}
 	if err != nil {
-		return false, fmt.Errorf("reading baseline: %w", err)
+		return fmt.Errorf("reading baseline: %w", err)
 	}
 	var base Report
 	if err := json.Unmarshal(data, &base); err != nil {
-		return false, fmt.Errorf("parsing baseline: %w", err)
+		return fmt.Errorf("parsing baseline: %w", err)
 	}
-	if base.Schema != Schema && base.Schema != SchemaV1 {
-		return false, fmt.Errorf("baseline schema %q, want %q (or legacy %q)", base.Schema, Schema, SchemaV1)
+	if base.Schema != Schema {
+		return fmt.Errorf("baseline schema %q, want %q", base.Schema, Schema)
 	}
 	if cmpOut != "" {
 		if err := writeCompare(cmpOut, &base, cur); err != nil {
-			return false, err
+			return err
 		}
 	}
 	baseBy := make(map[string]Entry, len(base.Benchmarks))
@@ -616,14 +389,14 @@ func gate(cur *Report, baselinePath string, lim limits, cmpOut string) (bootstra
 			fmt.Printf("  (no baseline for %s — skipping gate)\n", e.Name)
 			continue
 		}
-		check(e.Name, "ns", e.NsPerOp, b.NsPerOp, lim.ns)
-		check(e.Name, "allocs", float64(e.AllocsPerOp), float64(b.AllocsPerOp), lim.allocs)
-		check(e.Name, "bytes", float64(e.BytesPerOp), float64(b.BytesPerOp), lim.bytes)
+		check(e.Name, "ns", e.NsPerOp, b.NsPerOp, maxNsRegression)
+		check(e.Name, "allocs", float64(e.AllocsPerOp), float64(b.AllocsPerOp), maxAllocRegression)
+		check(e.Name, "bytes", float64(e.BytesPerOp), float64(b.BytesPerOp), maxBytesRegression)
 	}
 	if len(failures) > 0 {
-		return false, fmt.Errorf("%d regression(s): %v", len(failures), failures)
+		return fmt.Errorf("%d regression(s): %v", len(failures), failures)
 	}
-	return false, nil
+	return nil
 }
 
 // writeCompare renders the baseline-vs-current comparison as a markdown
@@ -635,7 +408,7 @@ func writeCompare(path string, base, cur *Report) error {
 	fmt.Fprintf(&sb, "current: %s %s/%s, %d CPUs, GOMAXPROCS=%d, %s\n\n",
 		cur.GoVersion, cur.GOOS, cur.GOARCH, cur.CPUs, cur.GOMAXPROCS, cur.Schema)
 	if base == nil {
-		fmt.Fprintf(&sb, "_no baseline: first run_\n\n")
+		fmt.Fprintf(&sb, "_no baseline_\n\n")
 		fmt.Fprintf(&sb, "| benchmark | ns/op | allocs/op | B/op |\n|---|---:|---:|---:|\n")
 		for _, e := range cur.Benchmarks {
 			fmt.Fprintf(&sb, "| %s | %.0f | %d | %d |\n", e.Name, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp)

@@ -56,9 +56,6 @@ func DecomposeSymmetrizable(dDiag []float64, m *Dense) (*Symmetrizable, error) {
 	return &Symmetrizable{n: n, Lambda: eig.Values, W: w, Winv: winv}, nil
 }
 
-// N returns the dimension of the decomposed matrix.
-func (e *Symmetrizable) N() int { return e.n }
-
 // ExpAt returns e^{A·t} as a dense matrix.
 func (e *Symmetrizable) ExpAt(t float64) *Dense {
 	expL := make([]float64, e.n)

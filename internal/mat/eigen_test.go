@@ -163,7 +163,7 @@ func TestSymmetrizableVecPathsMatchMatrixPaths(t *testing.T) {
 }
 
 func phi2(e *Symmetrizable, t float64, x []float64) []float64 {
-	return Eye(e.N()).SubM(e.ExpAt(t)).MulVec(x)
+	return Eye(len(e.Lambda)).SubM(e.ExpAt(t)).MulVec(x)
 }
 
 func TestSymmetrizableErrors(t *testing.T) {

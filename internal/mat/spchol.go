@@ -155,9 +155,6 @@ func etree(a *CSR) []int {
 	return parent
 }
 
-// N returns the matrix dimension.
-func (ch *SparseCholesky) N() int { return ch.n }
-
 // SolveVecTo solves A·x = b into dst and returns dst. dst may alias b.
 func (ch *SparseCholesky) SolveVecTo(dst, b []float64) []float64 {
 	if len(b) != ch.n || len(dst) != ch.n {

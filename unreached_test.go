@@ -32,6 +32,8 @@ var reachAllowlist = map[string]string{
 	"schedule.Schedule.MOscillate":   "Definition 3 of the paper, the reference of the schedule property tests and FuzzMOscillateInvariants",
 	"sim.Stable.End":                 "the solver tests' classic reference evaluator reads the period-end state with it",
 	"sim.Stable.NumIntervals":        "the solver tests' classic reference evaluator reads the period-end state with it",
+	"thermal.BuildGen":               "the root gated benchmarks and the solver and dense-vs-sparse tests build catalog platforms with it",
+	"thermal.WithAlgebra":            "BenchmarkCrossover and the dense-vs-sparse tests force a backend with it",
 }
 
 // TestNoUnreachedInternalCode fails when a function, method or type that a
