@@ -20,11 +20,10 @@ import (
 
 func main() {
 	var (
-		run      = flag.String("run", "all", "experiment to run (or 'all')")
-		quick    = flag.Bool("quick", false, "reduced sweep sizes (same shapes, ~10x faster)")
-		seed     = flag.Int64("seed", 1, "seed for the random schedule generators")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		parallel = flag.Bool("parallel", false, "run all experiments concurrently (output stays ordered)")
+		run   = flag.String("run", "all", "experiment to run (or 'all')")
+		quick = flag.Bool("quick", false, "reduced sweep sizes (same shapes, ~10x faster)")
+		seed  = flag.Int64("seed", 1, "seed for the random schedule generators")
+		list  = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
 
@@ -40,12 +39,9 @@ func main() {
 	cfg := expr.Config{Quick: *quick, Seed: *seed}
 
 	var err error
-	switch {
-	case *run == "all" && *parallel:
-		err = expr.AllParallel(w, cfg)
-	case *run == "all":
+	if *run == "all" {
 		err = expr.All(w, cfg)
-	default:
+	} else {
 		err = expr.Run(*run, w, cfg)
 	}
 	if err != nil {

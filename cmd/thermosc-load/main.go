@@ -52,9 +52,6 @@ func main() {
 		concurrency = flag.Int("concurrency", 256, "max in-flight requests")
 		out         = flag.String("out", "", "write the JSON report to this file")
 		maxErrors   = flag.Int("max-errors", -1, "fail the run when more than this many requests error (-1 disables; deadline 504s count as errors)")
-		syncEvery   = flag.Duration("sync-interval", 250*time.Millisecond, "gossip period of the in-process cluster")
-		storeCap    = flag.Int("store-cap", 0, "replicated store capacity of the in-process cluster (0 = default)")
-		probeEvery  = flag.Duration("probe-interval", 250*time.Millisecond, "failure-detector probe period of the in-process cluster (0 disables dedicated probes)")
 		churn       = flag.Int("churn", 0, "run N seed-pinned kill/restart cycles against the in-process cluster during the load (requires -cluster; report gains per-phase splits)")
 		timeline    = flag.String("timeline", "", "write the fleet's per-peer health-transition timelines (JSON) to this file after the run (requires -cluster)")
 	)
@@ -69,7 +66,7 @@ func main() {
 	case *clusterN > 0 && *targets != "":
 		log.Fatal("thermosc-load: -cluster and -targets are mutually exclusive")
 	case *clusterN > 0:
-		f, err := startFleet(*clusterN, *syncEvery, *storeCap, *probeEvery)
+		f, err := startFleet(*clusterN, fleetPeriod, fleetPeriod)
 		if err != nil {
 			log.Fatalf("thermosc-load: %v", err)
 		}
@@ -173,6 +170,10 @@ func main() {
 	}
 }
 
+// fleetPeriod is the in-process fleet's gossip and probe period, the one
+// perfbench's fleet runs at.
+const fleetPeriod = 250 * time.Millisecond
+
 // fleet is the in-process replica set of -cluster N. Each replica
 // remembers its cluster config so churn mode can kill it and bring an
 // identically-configured incarnation back on the same address.
@@ -184,8 +185,8 @@ type fleet struct {
 }
 
 // startFleet boots n replicas on ephemeral loopback ports, each
-// configured with the others as peers.
-func startFleet(n int, syncInterval time.Duration, storeCap int, probeInterval time.Duration) (*fleet, error) {
+// configured with the others as peers and the default store capacity.
+func startFleet(n int, syncInterval, probeInterval time.Duration) (*fleet, error) {
 	lns := make([]net.Listener, n)
 	f := &fleet{
 		urls:  make([]string, n),
@@ -212,7 +213,6 @@ func startFleet(n int, syncInterval time.Duration, storeCap int, probeInterval t
 			Self:          f.urls[i],
 			Peers:         peers,
 			SyncInterval:  syncInterval,
-			StoreCap:      storeCap,
 			ProbeInterval: probeInterval,
 		}
 		if err := f.boot(i, lns[i]); err != nil {

@@ -28,7 +28,7 @@ func TestParseHelpers(t *testing.T) {
 // The -cluster N in-process fleet must come up healthy, gossip, answer
 // requests on every replica, and shut down cleanly.
 func TestStartFleet(t *testing.T) {
-	f, err := startFleet(2, 50*time.Millisecond, 0, 0)
+	f, err := startFleet(2, 50*time.Millisecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestStartFleet(t *testing.T) {
 // in-process fleet, the killed replica really goes dark, the restarted
 // one really comes back, and the timeline artifact is written.
 func TestFleetChurnAndTimelines(t *testing.T) {
-	f, err := startFleet(2, 50*time.Millisecond, 0, 20*time.Millisecond)
+	f, err := startFleet(2, 50*time.Millisecond, 20*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

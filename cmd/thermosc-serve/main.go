@@ -44,10 +44,6 @@ func main() {
 		auditEvery    = flag.Int("audit-every", 0, "audit every Nth cold solve with the verification oracle (0 disables)")
 		solveConc     = flag.Int("solve-concurrency", 0, "concurrent solve slots (0 = GOMAXPROCS)")
 		solveQueue    = flag.Int("solve-queue", 0, "admission queue depth; beyond it requests shed with 429 (0 = default 256)")
-		brkWindow     = flag.Int("breaker-window", 0, "audit verdicts in the circuit breaker window (0 = default 20)")
-		brkThreshold  = flag.Float64("breaker-threshold", 0, "audit failure fraction that trips the breaker to fallback-only planning (0 = default 0.5)")
-		brkMinSamples = flag.Int("breaker-min-samples", 0, "verdicts required before the breaker may trip (0 = default 8)")
-		brkCooloff    = flag.Duration("breaker-cooloff", 0, "open-state hold before a half-open probe (0 = default 30s)")
 
 		// Fleet flags (see docs/CLUSTER.md). -peers turns on clustering.
 		self         = flag.String("self", "", "this replica's advertised base URL (default http://<bound addr>)")
@@ -58,9 +54,6 @@ func main() {
 
 		// Self-healing flags (failure detector).
 		probeInterval = flag.Duration("probe-interval", time.Second, "peer /healthz probe period for the failure detector (0 disables dedicated probes; gossip still feeds the detector)")
-		suspectAfter  = flag.Int("suspect-after", 0, "consecutive failed contacts that mark a peer suspect (0 = default 2)")
-		deadAfter     = flag.Int("dead-after", 0, "consecutive failed contacts that mark a peer dead (0 = default 4)")
-		recoverAfter  = flag.Int("recover-after", 0, "consecutive successes a dead peer needs to rejoin (0 = default 2)")
 	)
 	flag.Parse()
 
@@ -84,9 +77,6 @@ func main() {
 			StoreCap:      *storeCap,
 			StorePath:     *storePath,
 			ProbeInterval: *probeInterval,
-			SuspectAfter:  *suspectAfter,
-			DeadAfter:     *deadAfter,
-			RecoverAfter:  *recoverAfter,
 		}
 	} else if *storePath != "" {
 		log.Fatalf("thermosc-serve: -store-path needs clustering (-peers or -self)")
@@ -102,10 +92,6 @@ func main() {
 		AuditEvery:        *auditEvery,
 		SolveConcurrency:  *solveConc,
 		SolveQueue:        *solveQueue,
-		BreakerWindow:     *brkWindow,
-		BreakerThreshold:  *brkThreshold,
-		BreakerMinSamples: *brkMinSamples,
-		BreakerCooloff:    *brkCooloff,
 		Cluster:           clusterCfg,
 	})
 	httpSrv := &http.Server{

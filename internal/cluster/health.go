@@ -17,10 +17,10 @@ import (
 //
 // State machine, per peer:
 //
-//	alive --SuspectAfter consecutive failures--> suspect
-//	alive/suspect --DeadAfter consecutive failures--> dead
+//	alive --suspectAfter consecutive failures--> suspect
+//	alive/suspect --deadAfter consecutive failures--> dead
 //	suspect --1 success--> alive
-//	dead --RecoverAfter consecutive successes--> alive   (probation)
+//	dead --recoverAfter consecutive successes--> alive   (probation)
 //
 // Suspect exists so one dropped probe (GC pause, packet loss) downgrades
 // routing preference without declaring the peer dead; probation keeps a
@@ -34,11 +34,14 @@ const (
 	StateDead    = "dead"
 )
 
-// Detector thresholds; zero values select the defaults.
+// The detector's thresholds, in consecutive observations: a peer turns
+// suspect at the second failure in a row and dead at the fourth, and a
+// dead peer needs two successes in a row to rejoin. A suspect peer
+// rejoins on its first success.
 const (
-	DefaultSuspectAfter = 2
-	DefaultDeadAfter    = 4
-	DefaultRecoverAfter = 2
+	suspectAfter = 2
+	deadAfter    = 4
+	recoverAfter = 2
 )
 
 // maxTransitionLog bounds the detector's global transition timeline
@@ -46,43 +49,12 @@ const (
 // small enough to serve inline from a status endpoint.
 const maxTransitionLog = 512
 
-// DetectorConfig tunes the failure detector's state machine.
-type DetectorConfig struct {
-	// SuspectAfter is the consecutive-failure count that moves an alive
-	// peer to suspect (default DefaultSuspectAfter).
-	SuspectAfter int
-	// DeadAfter is the consecutive-failure count that moves a peer to
-	// dead (default DefaultDeadAfter; clamped to >= SuspectAfter).
-	DeadAfter int
-	// RecoverAfter is the consecutive-success count a DEAD peer must
-	// accumulate before re-admission to alive — the probation window
-	// (default DefaultRecoverAfter). A suspect peer recovers on its
-	// first success.
-	RecoverAfter int
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = DefaultSuspectAfter
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = DefaultDeadAfter
-	}
-	if c.DeadAfter < c.SuspectAfter {
-		c.DeadAfter = c.SuspectAfter
-	}
-	if c.RecoverAfter <= 0 {
-		c.RecoverAfter = DefaultRecoverAfter
-	}
-	return c
-}
-
 // PeerHealth is one peer's externally visible health snapshot.
 type PeerHealth struct {
 	Peer  string `json:"peer"`
 	State string `json:"state"`
 	// Recovering marks a dead peer inside its probation window: probes
-	// are succeeding but fewer than RecoverAfter in a row so far.
+	// are succeeding but fewer than recoverAfter in a row so far.
 	Recovering bool `json:"recovering,omitempty"`
 	// ConsecFails / ConsecOKs are the current streaks feeding the state
 	// machine.
@@ -120,8 +92,6 @@ type peerHealth struct {
 // registered up front (NewDetector) or lazily on first observation;
 // unknown peers are alive until observed otherwise.
 type Detector struct {
-	cfg DetectorConfig
-
 	mu    sync.Mutex
 	peers map[string]*peerHealth
 	log   []HealthTransition
@@ -129,8 +99,8 @@ type Detector struct {
 
 // NewDetector builds a detector over the given peers (all initially
 // alive).
-func NewDetector(peers []string, cfg DetectorConfig) *Detector {
-	d := &Detector{cfg: cfg.withDefaults(), peers: make(map[string]*peerHealth, len(peers))}
+func NewDetector(peers []string) *Detector {
+	d := &Detector{peers: make(map[string]*peerHealth, len(peers))}
 	for _, p := range peers {
 		d.peers[p] = &peerHealth{state: StateAlive}
 	}
@@ -165,7 +135,7 @@ func (d *Detector) Observe(peer string, ok bool, latency time.Duration) (state s
 		case StateSuspect:
 			ph.state = StateAlive
 		case StateDead:
-			if ph.consecOKs >= d.cfg.RecoverAfter {
+			if ph.consecOKs >= recoverAfter {
 				ph.state = StateAlive
 			}
 		}
@@ -173,9 +143,9 @@ func (d *Detector) Observe(peer string, ok bool, latency time.Duration) (state s
 		ph.consecOKs = 0
 		ph.consecFails++
 		switch {
-		case ph.consecFails >= d.cfg.DeadAfter:
+		case ph.consecFails >= deadAfter:
 			ph.state = StateDead
-		case ph.consecFails >= d.cfg.SuspectAfter && ph.state == StateAlive:
+		case ph.consecFails >= suspectAfter && ph.state == StateAlive:
 			ph.state = StateSuspect
 		}
 	}

@@ -20,7 +20,7 @@ func observeN(d *Detector, peer string, ok bool, n int) (string, bool) {
 // alive → suspect → dead → (probation) → alive, with every transition
 // reported exactly once.
 func TestDetectorStateMachine(t *testing.T) {
-	d := NewDetector([]string{"p"}, DetectorConfig{SuspectAfter: 2, DeadAfter: 4, RecoverAfter: 2})
+	d := NewDetector([]string{"p"})
 
 	if d.State("p") != StateAlive || d.Down("p") {
 		t.Fatalf("initial state %q down=%v, want alive/up", d.State("p"), d.Down("p"))
@@ -29,7 +29,7 @@ func TestDetectorStateMachine(t *testing.T) {
 	if state, trans := d.Observe("p", false, 0); state != StateAlive || trans {
 		t.Fatalf("after 1 failure: %q trans=%v, want alive/false", state, trans)
 	}
-	// The second consecutive failure crosses SuspectAfter.
+	// The second consecutive failure crosses suspectAfter.
 	if state, trans := d.Observe("p", false, 0); state != StateSuspect || !trans {
 		t.Fatalf("after 2 failures: %q trans=%v, want suspect/true", state, trans)
 	}
@@ -40,7 +40,7 @@ func TestDetectorStateMachine(t *testing.T) {
 	if state, trans := d.Observe("p", false, 0); state != StateSuspect || trans {
 		t.Fatalf("after 3 failures: %q trans=%v, want suspect/false", state, trans)
 	}
-	// Fourth crosses DeadAfter.
+	// Fourth crosses deadAfter.
 	if state, trans := d.Observe("p", false, 0); state != StateDead || !trans {
 		t.Fatalf("after 4 failures: %q trans=%v, want dead/true", state, trans)
 	}
@@ -60,7 +60,7 @@ func TestDetectorStateMachine(t *testing.T) {
 	if h := d.Health("p"); h.Recovering || h.ConsecOKs != 0 {
 		t.Fatalf("post-probation-failure snapshot: %+v, want streak reset", h)
 	}
-	// RecoverAfter consecutive successes re-admit, reported once.
+	// recoverAfter consecutive successes re-admit, reported once.
 	if state, trans := d.Observe("p", true, 0); state != StateDead || trans {
 		t.Fatalf("probation success 1: %q trans=%v", state, trans)
 	}
@@ -75,50 +75,29 @@ func TestDetectorStateMachine(t *testing.T) {
 // A suspect peer recovers on its FIRST success — suspect models a blip,
 // not a death, so no probation applies.
 func TestDetectorSuspectRecoversImmediately(t *testing.T) {
-	d := NewDetector([]string{"p"}, DetectorConfig{SuspectAfter: 2, DeadAfter: 4, RecoverAfter: 3})
-	observeN(d, "p", false, 2)
+	d := NewDetector([]string{"p"})
+	observeN(d, "p", false, suspectAfter)
 	if d.State("p") != StateSuspect {
 		t.Fatalf("state %q, want suspect", d.State("p"))
 	}
 	if state, trans := d.Observe("p", true, 0); state != StateAlive || !trans {
 		t.Fatalf("suspect + 1 success: %q trans=%v, want alive/true", state, trans)
 	}
-	// And the failure streak restarts from zero: it takes SuspectAfter
+	// And the failure streak restarts from zero: it takes suspectAfter
 	// NEW failures to suspect again.
 	if state, _ := d.Observe("p", false, 0); state != StateAlive {
 		t.Fatalf("one failure after recovery: %q, want alive", state)
 	}
 }
 
-// Defaults and clamping: zero config selects the documented defaults,
-// and DeadAfter can never undercut SuspectAfter.
-func TestDetectorConfigDefaults(t *testing.T) {
-	cfg := DetectorConfig{}.withDefaults()
-	if cfg.SuspectAfter != DefaultSuspectAfter || cfg.DeadAfter != DefaultDeadAfter || cfg.RecoverAfter != DefaultRecoverAfter {
-		t.Fatalf("defaults: %+v", cfg)
-	}
-	clamped := DetectorConfig{SuspectAfter: 5, DeadAfter: 2}.withDefaults()
-	if clamped.DeadAfter != 5 {
-		t.Fatalf("DeadAfter %d not clamped up to SuspectAfter 5", clamped.DeadAfter)
-	}
-	// With defaults, a peer walks alive→suspect at 2 and →dead at 4.
-	d := NewDetector([]string{"p"}, DetectorConfig{})
-	if state, _ := observeN(d, "p", false, DefaultSuspectAfter); state != StateSuspect {
-		t.Fatalf("default suspect threshold: %q", state)
-	}
-	if state, _ := observeN(d, "p", false, DefaultDeadAfter-DefaultSuspectAfter); state != StateDead {
-		t.Fatalf("default dead threshold: %q", state)
-	}
-}
-
 // Counts, unknown peers, and lazy registration.
 func TestDetectorCountsAndUnknownPeers(t *testing.T) {
-	d := NewDetector([]string{"a", "b", "c"}, DetectorConfig{SuspectAfter: 1, DeadAfter: 2})
+	d := NewDetector([]string{"a", "b", "c"})
 	if a, s, x := d.Counts(); a != 3 || s != 0 || x != 0 {
 		t.Fatalf("initial counts %d/%d/%d", a, s, x)
 	}
-	observeN(d, "a", false, 1) // suspect
-	observeN(d, "b", false, 2) // dead
+	observeN(d, "a", false, suspectAfter)
+	observeN(d, "b", false, deadAfter)
 	if a, s, x := d.Counts(); a != 1 || s != 1 || x != 1 {
 		t.Fatalf("counts %d/%d/%d, want 1/1/1", a, s, x)
 	}
@@ -133,7 +112,7 @@ func TestDetectorCountsAndUnknownPeers(t *testing.T) {
 		t.Fatal("reading an unknown peer registered it")
 	}
 	// ...until observed, which registers them lazily.
-	observeN(d, "ghost", false, 1)
+	observeN(d, "ghost", false, suspectAfter)
 	if a, s, _ := d.Counts(); a != 1 || s != 2 {
 		t.Fatalf("lazy registration counts %d alive %d suspect", a, s)
 	}
@@ -142,25 +121,23 @@ func TestDetectorCountsAndUnknownPeers(t *testing.T) {
 // The transition timeline records every state change in order and stays
 // bounded at maxTransitionLog entries (oldest dropped).
 func TestDetectorTimelineBounded(t *testing.T) {
-	d := NewDetector([]string{"p"}, DetectorConfig{SuspectAfter: 1, DeadAfter: 1, RecoverAfter: 1})
-	// Each flap cycle is two transitions: alive→dead, dead→alive.
+	d := NewDetector([]string{"p"})
+	// Each flap cycle is three transitions: alive→suspect→dead→alive.
+	cycle := []string{StateSuspect, StateDead, StateAlive}
 	for i := 0; i < maxTransitionLog; i++ {
-		d.Observe("p", false, 0)
-		d.Observe("p", true, 0)
+		observeN(d, "p", false, deadAfter)
+		observeN(d, "p", true, recoverAfter)
 	}
 	tl := d.Timeline()
 	if len(tl) != maxTransitionLog {
 		t.Fatalf("timeline length %d, want bound %d", len(tl), maxTransitionLog)
 	}
+	dropped := len(cycle)*maxTransitionLog - maxTransitionLog
 	for i, tr := range tl {
 		if tr.Peer != "p" {
 			t.Fatalf("entry %d peer %q", i, tr.Peer)
 		}
-		want := StateDead
-		if i%2 == 1 {
-			want = StateAlive
-		}
-		if tr.To != want {
+		if want := cycle[(dropped+i)%len(cycle)]; tr.To != want {
 			t.Fatalf("entry %d: %s→%s, want →%s (flap order lost)", i, tr.From, tr.To, want)
 		}
 		if i > 0 && tr.AtUnixS < tl[i-1].AtUnixS {
@@ -168,8 +145,8 @@ func TestDetectorTimelineBounded(t *testing.T) {
 		}
 	}
 	// Transition counter survives the log truncation.
-	if h := d.Health("p"); h.Transitions != 2*maxTransitionLog {
-		t.Fatalf("transitions %d, want %d", h.Transitions, 2*maxTransitionLog)
+	if h := d.Health("p"); h.Transitions != uint64(len(cycle)*maxTransitionLog) {
+		t.Fatalf("transitions %d, want %d", h.Transitions, len(cycle)*maxTransitionLog)
 	}
 }
 
@@ -180,7 +157,7 @@ func TestDetectorConcurrentObserve(t *testing.T) {
 	for i := range peers {
 		peers[i] = fmt.Sprintf("p%d", i)
 	}
-	d := NewDetector(peers, DetectorConfig{})
+	d := NewDetector(peers)
 	done := make(chan struct{})
 	for _, p := range peers {
 		go func(p string) {

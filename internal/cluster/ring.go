@@ -138,12 +138,6 @@ func (r *Ring) Nodes() []string {
 	return append([]string(nil), r.nodes...)
 }
 
-// Contains reports whether node is a ring member.
-func (r *Ring) Contains(node string) bool {
-	i := sort.SearchStrings(r.nodes, node)
-	return i < len(r.nodes) && r.nodes[i] == node
-}
-
 // WithoutNode returns a new ring with node removed (the receiver is
 // unchanged).
 func (r *Ring) WithoutNode(node string) *Ring {

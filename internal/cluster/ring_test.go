@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -198,4 +199,10 @@ func (r *Ring) Size() int { return len(r.nodes) }
 // unchanged). Adding an existing member returns an equivalent ring.
 func (r *Ring) WithNode(node string) *Ring {
 	return NewRing(append(r.Nodes(), node), r.vnodes)
+}
+
+// Contains reports whether node is a ring member.
+func (r *Ring) Contains(node string) bool {
+	i := sort.SearchStrings(r.nodes, node)
+	return i < len(r.nodes) && r.nodes[i] == node
 }

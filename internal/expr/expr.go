@@ -7,12 +7,10 @@
 package expr
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"thermosc/internal/floorplan"
 	"thermosc/internal/power"
@@ -97,37 +95,6 @@ func All(w io.Writer, cfg Config) error {
 		fmt.Fprintf(w, "==== %s: %s ====\n\n", e.name, e.desc)
 		if err := e.run(w, cfg); err != nil {
 			return fmt.Errorf("expr: %s: %w", e.name, err)
-		}
-	}
-	return nil
-}
-
-// AllParallel runs every experiment concurrently (they share no mutable
-// state — each builds its own models and RNGs), buffering each one's
-// output and emitting the sections in registry order. The first error
-// wins; remaining experiments still run to completion.
-func AllParallel(w io.Writer, cfg Config) error {
-	type outcome struct {
-		buf bytes.Buffer
-		err error
-	}
-	results := make([]outcome, len(registry))
-	var wg sync.WaitGroup
-	wg.Add(len(registry))
-	for i := range registry {
-		go func(i int) {
-			defer wg.Done()
-			results[i].err = registry[i].run(&results[i].buf, cfg)
-		}(i)
-	}
-	wg.Wait()
-	for i, e := range registry {
-		fmt.Fprintf(w, "==== %s: %s ====\n\n", e.name, e.desc)
-		if _, err := results[i].buf.WriteTo(w); err != nil {
-			return err
-		}
-		if results[i].err != nil {
-			return fmt.Errorf("expr: %s: %w", e.name, results[i].err)
 		}
 	}
 	return nil

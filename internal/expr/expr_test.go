@@ -128,26 +128,3 @@ func TestAllQuick(t *testing.T) {
 		}
 	}
 }
-
-func TestAllParallelMatchesSequentialSections(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite in -short mode")
-	}
-	var buf bytes.Buffer
-	if err := AllParallel(&buf, quickCfg()); err != nil {
-		t.Fatalf("AllParallel: %v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	// Sections appear in registry order despite concurrent execution.
-	prev := -1
-	for _, name := range Names() {
-		idx := strings.Index(out, "==== "+name)
-		if idx < 0 {
-			t.Fatalf("missing section %q", name)
-		}
-		if idx < prev {
-			t.Fatalf("section %q out of order", name)
-		}
-		prev = idx
-	}
-}

@@ -197,16 +197,6 @@ func (l *LevelSet) Max() float64 { return l.volts[len(l.volts)-1] }
 // Mode returns the i-th mode (ascending voltage order).
 func (l *LevelSet) Mode(i int) Mode { return NewMode(l.volts[i]) }
 
-// Contains reports whether v is one of the levels (within tol).
-func (l *LevelSet) Contains(v, tol float64) bool {
-	for _, lv := range l.volts {
-		if math.Abs(lv-v) <= tol {
-			return true
-		}
-	}
-	return false
-}
-
 // Neighbors returns the two levels bracketing v: the greatest level ≤ v
 // and the smallest level ≥ v. If v lies below Min (above Max) both returns
 // equal Min (Max). If v coincides with a level (within 1e-9) both returns

@@ -238,3 +238,13 @@ func TestNeighborsRandomizedAgainstLinearScan(t *testing.T) {
 		}
 	}
 }
+
+// Contains reports whether v is one of the levels (within tol).
+func (l *LevelSet) Contains(v, tol float64) bool {
+	for _, lv := range l.volts {
+		if math.Abs(lv-v) <= tol {
+			return true
+		}
+	}
+	return false
+}

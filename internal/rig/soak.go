@@ -15,24 +15,30 @@ import (
 	"thermosc/internal/solver"
 )
 
-// PlanAO solves the AO plan a plan-guard run replays: the planner's
-// nominal model, the paper level set, and a threshold derated by the
-// scenario's plan margin. MaxM is capped by the scenario so the resulting
-// oscillation cycle stays resolvable on the emulation grid.
-func PlanAO(r *Rig) (*schedule.Schedule, error) {
+// planProblem is the AO problem a plan-guard run's plan solves: the
+// planner's nominal model, the paper level set, and a threshold derated
+// by the scenario's plan margin. MaxM is capped by the scenario so the
+// resulting oscillation cycle stays resolvable on the emulation grid.
+func planProblem(r *Rig) solver.Problem {
 	sc := r.Scenario()
-	res, err := solver.AO(solver.Problem{
+	return solver.Problem{
 		Model:    r.PlannerModel(),
 		Levels:   r.Levels(),
 		TmaxC:    sc.TmaxC - sc.PlanMarginK,
 		Overhead: power.DefaultOverhead(),
 		MaxM:     sc.MaxM,
-	})
+	}
+}
+
+// PlanAO solves the AO plan a plan-guard run replays (see planProblem).
+func PlanAO(r *Rig) (*schedule.Schedule, error) {
+	prob := planProblem(r)
+	res, err := solver.AO(prob)
 	if err != nil {
 		return nil, fmt.Errorf("rig: AO plan: %w", err)
 	}
 	if !res.Feasible || res.Schedule == nil {
-		return nil, fmt.Errorf("rig: AO found no feasible plan at %.1f °C", sc.TmaxC-sc.PlanMarginK)
+		return nil, fmt.Errorf("rig: AO found no feasible plan at %.1f °C", prob.TmaxC)
 	}
 	return res.Schedule, nil
 }
@@ -52,22 +58,31 @@ type planKey struct {
 	planTmaxC                float64
 }
 
-// planCache memoizes AO solves across a soak run; entries build at most
-// once even when workers race (the sync.Once pattern of sim.Engine).
+// planCache memoizes plan solves across a soak run; entries build at
+// most once even when workers race (the sync.Once pattern of
+// sim.Engine). A zero budget solves with PlanAO; a positive one solves
+// with PlanAnytime under that budget. Degraded plans are
+// timing-dependent, so solving once per key and replaying the cached
+// schedule is what keeps the soak's replay-twice determinism check
+// meaningful under starvation.
 type planCache struct {
-	mu sync.Mutex
-	m  map[planKey]*planEntry
+	budget time.Duration
+	mu     sync.Mutex
+	m      map[planKey]*planEntry
 }
 
 type planEntry struct {
-	once  sync.Once
-	sched *schedule.Schedule
-	err   error
+	once   sync.Once
+	sched  *schedule.Schedule
+	reason solver.DegradedReason
+	err    error
 }
 
-func newPlanCache() *planCache { return &planCache{m: make(map[planKey]*planEntry)} }
+func newPlanCache(budget time.Duration) *planCache {
+	return &planCache{budget: budget, m: make(map[planKey]*planEntry)}
+}
 
-func (c *planCache) plan(r *Rig) (*schedule.Schedule, error) {
+func (c *planCache) plan(r *Rig) (*schedule.Schedule, solver.DegradedReason, error) {
 	sc := r.Scenario()
 	key := planKey{sc.Rows, sc.Cols, sc.PaperLevels, sc.MaxM, sc.TmaxC - sc.PlanMarginK}
 	c.mu.Lock()
@@ -77,8 +92,14 @@ func (c *planCache) plan(r *Rig) (*schedule.Schedule, error) {
 		c.m[key] = ent
 	}
 	c.mu.Unlock()
-	ent.once.Do(func() { ent.sched, ent.err = PlanAO(r) })
-	return ent.sched, ent.err
+	ent.once.Do(func() {
+		if c.budget > 0 {
+			ent.sched, ent.reason, ent.err = PlanAnytime(r, c.budget)
+		} else {
+			ent.sched, ent.err = PlanAO(r)
+		}
+	})
+	return ent.sched, ent.reason, ent.err
 }
 
 // RandomScenarios derives n randomized fault scenarios from a base
@@ -185,10 +206,10 @@ func soak(base *Scenario, n int, seed int64, workers int, budget time.Duration) 
 	if workers > n {
 		workers = n
 	}
-	plans := newPlanCache()
-	var starved *starvedPlanCache
+	plans := newPlanCache(0)
+	var starved *planCache
 	if budget > 0 {
-		starved = newStarvedPlanCache(budget)
+		starved = newPlanCache(budget)
 	}
 	outcomes := make([]*ScenarioOutcome, n)
 	errs := make([]error, n)
@@ -245,7 +266,7 @@ func soak(base *Scenario, n int, seed int64, workers int, budget time.Duration) 
 // the mid-scenario replan: both replays reuse the same cached
 // budget-bounded plan, so starvation does not perturb the determinism
 // check.
-func runGuardedTwice(sc *Scenario, plans *planCache, starved *starvedPlanCache) (*ScenarioOutcome, error) {
+func runGuardedTwice(sc *Scenario, plans, starved *planCache) (*ScenarioOutcome, error) {
 	rep1, reason, err := runGuarded(sc, plans, starved)
 	if err != nil {
 		return nil, err
@@ -270,12 +291,12 @@ func runGuardedTwice(sc *Scenario, plans *planCache, starved *starvedPlanCache) 
 	}, nil
 }
 
-func runGuarded(sc *Scenario, plans *planCache, starved *starvedPlanCache) (*Report, solver.DegradedReason, error) {
+func runGuarded(sc *Scenario, plans, starved *planCache) (*Report, solver.DegradedReason, error) {
 	r, err := New(sc)
 	if err != nil {
 		return nil, solver.DegradedNone, err
 	}
-	plan, err := plans.plan(r)
+	plan, _, err := plans.plan(r)
 	if err != nil {
 		return nil, solver.DegradedNone, err
 	}

@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
-	"thermosc/internal/power"
 	"thermosc/internal/schedule"
 	"thermosc/internal/solver"
 	"thermosc/internal/thermal"
@@ -21,16 +19,9 @@ import (
 // any incumbent exists. The returned reason is solver.DegradedNone for
 // a complete solve. Degraded plans are timing-dependent; callers that
 // need replay determinism must solve once and reuse the schedule (see
-// starvedPlanCache).
+// planCache).
 func PlanAnytime(r *Rig, budget time.Duration) (*schedule.Schedule, solver.DegradedReason, error) {
-	sc := r.Scenario()
-	prob := solver.Problem{
-		Model:    r.PlannerModel(),
-		Levels:   r.Levels(),
-		TmaxC:    sc.TmaxC - sc.PlanMarginK,
-		Overhead: power.DefaultOverhead(),
-		MaxM:     sc.MaxM,
-	}
+	prob := planProblem(r)
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	prob.Ctx = ctx
@@ -52,41 +43,6 @@ func PlanAnytime(r *Rig, budget time.Duration) (*schedule.Schedule, solver.Degra
 		return nil, solver.DegradedNone, fmt.Errorf("rig: safe floor: %w", err)
 	}
 	return floor.Schedule, floor.Degraded, nil
-}
-
-// starvedPlanCache memoizes budget-bounded PlanAnytime solves. Degraded
-// plans are timing-dependent, so solving once per key and replaying the
-// cached schedule is what keeps the soak's replay-twice determinism
-// check meaningful under starvation.
-type starvedPlanCache struct {
-	budget time.Duration
-	mu     sync.Mutex
-	m      map[planKey]*starvedEntry
-}
-
-type starvedEntry struct {
-	once   sync.Once
-	sched  *schedule.Schedule
-	reason solver.DegradedReason
-	err    error
-}
-
-func newStarvedPlanCache(budget time.Duration) *starvedPlanCache {
-	return &starvedPlanCache{budget: budget, m: make(map[planKey]*starvedEntry)}
-}
-
-func (c *starvedPlanCache) plan(r *Rig) (*schedule.Schedule, solver.DegradedReason, error) {
-	sc := r.Scenario()
-	key := planKey{sc.Rows, sc.Cols, sc.PaperLevels, sc.MaxM, sc.TmaxC - sc.PlanMarginK}
-	c.mu.Lock()
-	ent, ok := c.m[key]
-	if !ok {
-		ent = &starvedEntry{}
-		c.m[key] = ent
-	}
-	c.mu.Unlock()
-	ent.once.Do(func() { ent.sched, ent.reason, ent.err = PlanAnytime(r, c.budget) })
-	return ent.sched, ent.reason, ent.err
 }
 
 // starvedReplanGuard models a mid-scenario replan under planner

@@ -59,7 +59,6 @@ func TestServeChaos(t *testing.T) {
 		AuditEvery:       1,
 		SolveConcurrency: 2,
 		SolveQueue:       4,
-		BreakerCooloff:   100 * time.Millisecond,
 	}
 	// THERMOSC_CHAOS_STORE=file runs the storm over a single-node cluster
 	// whose plan store has an append-only log, so every complete plan
@@ -75,6 +74,7 @@ func TestServeChaos(t *testing.T) {
 		t.Fatalf("bad THERMOSC_CHAOS_STORE %q (want mem or file)", backend)
 	}
 	srv := NewServer(cfg)
+	srv.brk = newBreaker(breakerWindow, breakerThreshold, breakerMinSamples, 100*time.Millisecond)
 	var hookMu sync.Mutex
 	var faultsArmed atomic.Bool
 	faultsArmed.Store(true)

@@ -21,14 +21,6 @@ import (
 // partition, a rolling restart of every node under load, and the
 // seed-pinned churn soak the CI job runs with -race.
 
-// healthKnobsMutate pre-sets fast detector thresholds on every replica
-// (startReplica preserves them while overriding the topology).
-func healthKnobsMutate(suspect, dead, recover int) func(i int, cfg *ServerConfig) {
-	return func(i int, cfg *ServerConfig) {
-		cfg.Cluster = &ClusterConfig{SuspectAfter: suspect, DeadAfter: dead, RecoverAfter: recover}
-	}
-}
-
 // probeUntil drives dedicated probes from src against peer until the
 // detector reaches wantState (bounded).
 func probeUntil(t *testing.T, src *Server, peer, wantState string) {
@@ -65,16 +57,18 @@ func coldBodyOwnedBy(t *testing.T, tc *testCluster, owner string) string {
 // so requests for its keys are answered WITHOUT burning a forward
 // attempt, and the health surfaces on /v1/cluster and /v1/stats.
 func TestClusterDetectorReroutesAroundDeadPeer(t *testing.T) {
-	tc := startTestCluster(t, 3, 0, healthKnobsMutate(1, 2, 1))
+	tc := startTestCluster(t, 3, 0, nil)
 	victim := 1
 	victimURL := tc.urls[victim]
 	tc.stopReplica(victim)
 
-	// First failed probe: suspect (SuspectAfter=1) — already down for
-	// routing. Second: dead.
-	tc.srvs[0].cluster.probeOne(context.Background(), victimURL)
+	// The second failed probe marks the victim suspect — already down
+	// for routing. The fourth marks it dead.
+	for i := 0; i < 2; i++ {
+		tc.srvs[0].cluster.probeOne(context.Background(), victimURL)
+	}
 	if got := tc.srvs[0].cluster.health.State(victimURL); got != cluster.StateSuspect {
-		t.Fatalf("after 1 failed probe: %q, want suspect", got)
+		t.Fatalf("after 2 failed probes: %q, want suspect", got)
 	}
 	if !tc.srvs[0].cluster.downForRouting(victimURL) {
 		t.Fatal("suspect peer not routed around")
@@ -137,8 +131,7 @@ func TestClusterDetectorReroutesAroundDeadPeer(t *testing.T) {
 // alone must make the restarted replica byte-identical for the missed
 // keys, before any gossip round.
 func TestClusterReadmissionSyncsMissedWrites(t *testing.T) {
-	mutate := healthKnobsMutate(1, 2, 2) // probation: 2 successes to rejoin
-	tc := startTestCluster(t, 3, 0, mutate)
+	tc := startTestCluster(t, 3, 0, nil)
 	victim := 2
 	victimURL := tc.urls[victim]
 
@@ -170,9 +163,7 @@ func TestClusterReadmissionSyncsMissedWrites(t *testing.T) {
 	// Restart the victim cold. Probation: the first successful probe must
 	// NOT sync (the peer could be flapping); the second re-admits it and
 	// syncs synchronously.
-	cfg := ServerConfig{}
-	mutate(victim, &cfg)
-	tc.restartReplica(t, victim, cfg, 0)
+	tc.restartReplica(t, victim, ServerConfig{}, 0)
 	if got := tc.srvs[victim].cluster.store.Len(); got != 0 {
 		t.Fatalf("restarted replica store has %d entries before re-admission", got)
 	}
@@ -208,14 +199,13 @@ func TestClusterReadmissionSyncsMissedWrites(t *testing.T) {
 // inside the detection window, before enough failures mark it suspect —
 // reaches the owner in the sync round that re-admits it.
 func TestClusterReadmissionDeliversDetectionWindowWrite(t *testing.T) {
-	mutate := healthKnobsMutate(2, 3, 1)
-	tc := startTestCluster(t, 3, 0, mutate)
+	tc := startTestCluster(t, 3, 0, nil)
 	victim := 2
 	victimURL := tc.urls[victim]
 	tc.stopReplica(victim)
 
-	// The forward fails once, below SuspectAfter: replica 0 still holds
-	// the owner alive and answers with a local solve.
+	// The forward fails once, below the suspect threshold: replica 0
+	// still holds the owner alive and answers with a local solve.
 	body := coldBodyOwnedBy(t, tc, victimURL)
 	status, ref := postMaximize(t, tc.urls[0], body)
 	if status != http.StatusOK {
@@ -229,9 +219,7 @@ func TestClusterReadmissionDeliversDetectionWindowWrite(t *testing.T) {
 	}
 
 	probeUntil(t, tc.srvs[0], victimURL, cluster.StateDead)
-	cfg := ServerConfig{}
-	mutate(victim, &cfg)
-	tc.restartReplica(t, victim, cfg, 0)
+	tc.restartReplica(t, victim, ServerConfig{}, 0)
 	probeUntil(t, tc.srvs[0], victimURL, cluster.StateAlive)
 
 	if _, ok := tc.srvs[victim].cluster.store.Get(planKeyFor(t, body)); !ok {
@@ -343,7 +331,7 @@ func TestClusterDrainAndRejoin(t *testing.T) {
 // routes around it; healing re-admits B through probation and the fleet
 // converges.
 func TestClusterAsymmetricPartition(t *testing.T) {
-	tc := startTestCluster(t, 3, 0, healthKnobsMutate(1, 2, 2))
+	tc := startTestCluster(t, 3, 0, nil)
 	a, b := 0, 1
 	bURL, aURL := tc.urls[b], tc.urls[a]
 	byOwner := bodiesByOwner(t, tc)
@@ -356,13 +344,13 @@ func TestClusterAsymmetricPartition(t *testing.T) {
 	// dedicated probes are running).
 	tc.srvs[b].cluster.rejectSync.Store(true)
 	ctx := context.Background()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 4; i++ {
 		if _, err := tc.srvs[a].cluster.syncNow(ctx, bURL); err == nil {
 			t.Fatal("sync through the partition succeeded")
 		}
 	}
 	if got := tc.srvs[a].cluster.health.State(bURL); got != cluster.StateDead {
-		t.Fatalf("A's view of B after 2 failed gossips: %q, want dead", got)
+		t.Fatalf("A's view of B after 4 failed gossips: %q, want dead", got)
 	}
 	// The asymmetry: B still reaches A fine and considers it alive.
 	if _, err := tc.srvs[b].cluster.syncNow(ctx, aURL); err != nil {
@@ -405,8 +393,7 @@ func TestClusterAsymmetricPartition(t *testing.T) {
 // on the timeline, each re-admission delivers the cycle's missed write,
 // and the fleet stays consistent.
 func TestClusterFlappingPeer(t *testing.T) {
-	mutate := healthKnobsMutate(1, 1, 1)
-	tc := startTestCluster(t, 3, 0, mutate)
+	tc := startTestCluster(t, 3, 0, nil)
 	flapper := 2
 	fURL := tc.urls[flapper]
 	ring := tc.srvs[0].cluster.ring
@@ -436,9 +423,7 @@ func TestClusterFlappingPeer(t *testing.T) {
 		}
 		solved[b] = mr.Plan
 
-		cfg := ServerConfig{}
-		mutate(flapper, &cfg)
-		tc.restartReplica(t, flapper, cfg, 0)
+		tc.restartReplica(t, flapper, ServerConfig{}, 0)
 		probeUntil(t, tc.srvs[0], fURL, cluster.StateAlive)
 		if _, ok := tc.srvs[flapper].cluster.store.Get(planKeyFor(t, b)); !ok {
 			t.Fatalf("cycle %d: the re-admitted flapper lacks this cycle's write", cycle)
@@ -509,10 +494,7 @@ func TestClusterRollingRestartUnderLoad(t *testing.T) {
 		t.Skip("rolling restart battery is not a -short test")
 	}
 	mutate := func(i int, cfg *ServerConfig) {
-		cfg.Cluster = &ClusterConfig{
-			ProbeInterval: 25 * time.Millisecond,
-			SuspectAfter:  1, DeadAfter: 2, RecoverAfter: 1,
-		}
+		cfg.Cluster = &ClusterConfig{ProbeInterval: 25 * time.Millisecond}
 	}
 	tc := startTestCluster(t, 3, 100*time.Millisecond, mutate)
 
@@ -641,9 +623,6 @@ func TestClusterChurnSoak(t *testing.T) {
 			cfg.Cluster = &ClusterConfig{}
 		}
 		cfg.Cluster.ProbeInterval = 25 * time.Millisecond
-		cfg.Cluster.SuspectAfter = 1
-		cfg.Cluster.DeadAfter = 2
-		cfg.Cluster.RecoverAfter = 1
 	}
 	tc := startTestCluster(t, 3, 100*time.Millisecond, mutate)
 

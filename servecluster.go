@@ -93,12 +93,6 @@ type ClusterConfig struct {
 	// tests see exactly the observations they inject. thermosc-serve
 	// defaults the flag to 1s.
 	ProbeInterval time.Duration
-	// SuspectAfter / DeadAfter / RecoverAfter tune the detector's
-	// state machine thresholds (defaults cluster.DefaultSuspectAfter /
-	// DefaultDeadAfter / DefaultRecoverAfter).
-	SuspectAfter int
-	DeadAfter    int
-	RecoverAfter int
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
@@ -214,11 +208,7 @@ func newServeCluster(cfg ClusterConfig) (*serveCluster, error) {
 				IdleConnTimeout:     30 * time.Second,
 			},
 		},
-		health: cluster.NewDetector(cfg.Peers, cluster.DetectorConfig{
-			SuspectAfter: cfg.SuspectAfter,
-			DeadAfter:    cfg.DeadAfter,
-			RecoverAfter: cfg.RecoverAfter,
-		}),
+		health:   cluster.NewDetector(cfg.Peers),
 		peerSeen: make(map[string]peerSyncState, len(cfg.Peers)),
 		stop:     make(chan struct{}),
 	}

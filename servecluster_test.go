@@ -67,7 +67,7 @@ func (tc *testCluster) startReplica(t *testing.T, i int, ln net.Listener, cfg Se
 	}
 	cc := &ClusterConfig{}
 	if cfg.Cluster != nil {
-		// mutate may pre-set the store path and health knobs; topology
+		// mutate may pre-set the store path and probe interval; topology
 		// stays ours.
 		*cc = *cfg.Cluster
 	}

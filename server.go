@@ -21,7 +21,7 @@ import (
 //	POST /v1/maximize  platform spec + Tmax + method → serialized plan
 //	POST /v1/simulate  platform spec + plan → transient trace + verified peak
 //	GET  /healthz      liveness + drain state
-//	GET  /v1/stats     cache/latency/in-flight counters (also /metrics)
+//	GET  /v1/stats     cache/latency/in-flight counters
 //
 // Maximize requests are canonicalized (servereq.go), deduplicated by a
 // singleflight layer, and answered from an LRU plan cache. Plans are
@@ -90,9 +90,9 @@ type ServerConfig struct {
 	// with the independent verification oracle (Platform.Audit): the
 	// request is answered immediately and a background goroutine
 	// re-derives the plan's peak and invariants from first principles,
-	// feeding the verify_pass/verify_fail counters in /v1/stats and
-	// /metrics. 0 (the default) disables auditing. The audit verdicts
-	// also feed the circuit breaker (Breaker* below).
+	// feeding the verify_pass/verify_fail counters in /v1/stats.
+	// 0 (the default) disables auditing. The audit verdicts also feed
+	// the circuit breaker (serveresilience.go).
 	AuditEvery int
 
 	// SolveConcurrency caps solves running at once (default GOMAXPROCS);
@@ -101,19 +101,6 @@ type ServerConfig struct {
 	// estimated wait for a slot exceeds its own deadline.
 	SolveConcurrency int
 	SolveQueue       int
-
-	// Circuit breaker over the async audit verdicts: when at least
-	// BreakerMinSamples of the last BreakerWindow verdicts exist and the
-	// failure rate reaches BreakerThreshold, the server answers every
-	// solve with the oracle-checked constant safe floor until
-	// BreakerCooloff elapses; then one full solve probes and its audit
-	// verdict closes or re-opens the breaker. Defaults: window 20,
-	// threshold 0.5, min samples 8, cooloff 30s. Inert unless
-	// AuditEvery > 0 (no verdicts, no trips).
-	BreakerWindow     int
-	BreakerThreshold  float64
-	BreakerMinSamples int
-	BreakerCooloff    time.Duration
 
 	// Cluster, when non-nil, joins this server to a replica fleet:
 	// canonical request keys are placed on a consistent-hash ring, plans
@@ -148,18 +135,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.SolveQueue == 0 {
 		c.SolveQueue = 256
 	}
-	if c.BreakerWindow == 0 {
-		c.BreakerWindow = 20
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 0.5
-	}
-	if c.BreakerMinSamples == 0 {
-		c.BreakerMinSamples = 8
-	}
-	if c.BreakerCooloff == 0 {
-		c.BreakerCooloff = 30 * time.Second
-	}
 	return c
 }
 
@@ -178,7 +153,7 @@ func NewServer(cfg ServerConfig) *Server {
 	s.plans = newLRUCache[cachedPlan](s.cfg.PlanCacheSize)
 	s.platforms = newLRUCache[*Platform](s.cfg.PlatformCacheSize)
 	s.admit = newAdmission(s.cfg.SolveConcurrency, s.cfg.SolveQueue)
-	s.brk = newBreaker(s.cfg.BreakerWindow, s.cfg.BreakerThreshold, s.cfg.BreakerMinSamples, s.cfg.BreakerCooloff)
+	s.brk = newBreaker(breakerWindow, breakerThreshold, breakerMinSamples, breakerCooloff)
 	s.cond = sync.NewCond(&s.mu)
 	if cfg.Cluster != nil {
 		c, err := newServeCluster(*cfg.Cluster)
@@ -192,7 +167,6 @@ func NewServer(cfg ServerConfig) *Server {
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /metrics", s.handleStats)
 	s.mux.HandleFunc("GET /v1/cluster", s.handleClusterStatus)
 	s.mux.HandleFunc("POST /v1/cluster/sync", s.handleClusterSync)
 	s.mux.HandleFunc("POST /v1/cluster/drain", s.handleClusterDrain)
@@ -610,10 +584,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // runAudit re-checks one served plan with the independent oracle and
 // records the verdict. It runs on its own goroutine — a failed audit
 // cannot delay or fail the request that produced the plan; it surfaces
-// through the verify_fail counter (and last_failure detail) in /v1/stats
-// and /metrics, where monitoring alerts on it.
+// through the verify_fail counter (and last_failure detail) in /v1/stats,
+// where monitoring alerts on it.
 // Audit verdicts also feed the circuit breaker: a failure streak trips
-// the service to fallback-only planning (see ServerConfig.Breaker*).
+// the service to fallback-only planning (see breaker).
 func (s *Server) runAudit(plat *Platform, plan *Plan, tmaxC float64) {
 	defer s.auditWG.Done()
 	defer func() {

@@ -269,15 +269,6 @@ func TestServeHealthzAndStats(t *testing.T) {
 	if st.InFlight != 0 {
 		t.Fatalf("in-flight gauge should be 0 at rest, got %d", st.InFlight)
 	}
-	// /metrics serves the same document.
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("/metrics: %d", resp.StatusCode)
-	}
 	_ = srv
 }
 

@@ -159,6 +159,16 @@ const (
 	breakerHalfOpen = "half-open" // one full solve probing; next audit verdict decides
 )
 
+// The server's breaker policy: it trips when at least breakerMinSamples
+// of the last breakerWindow audit verdicts exist and at least
+// breakerThreshold of them failed, and it holds open for breakerCooloff.
+const (
+	breakerWindow     = 20
+	breakerThreshold  = 0.5
+	breakerMinSamples = 8
+	breakerCooloff    = 30 * time.Second
+)
+
 // breaker trips the service to fallback-only planning when the async
 // verification audits say full solves can no longer be trusted: if the
 // failure rate over a fixed window of audit verdicts crosses the
@@ -168,7 +178,8 @@ const (
 //
 // The breaker is fed ONLY by the sampled async audits (runAudit) — the
 // independent oracle's verdicts — never by request errors, which say
-// nothing about plan correctness.
+// nothing about plan correctness. Without ServerConfig.AuditEvery there
+// are no verdicts, so it never trips.
 type breaker struct {
 	threshold  float64
 	minSamples int
@@ -185,15 +196,6 @@ type breaker struct {
 }
 
 func newBreaker(window int, threshold float64, minSamples int, cooloff time.Duration) *breaker {
-	if window < 1 {
-		window = 1
-	}
-	if minSamples < 1 {
-		minSamples = 1
-	}
-	if minSamples > window {
-		minSamples = window
-	}
 	return &breaker{
 		threshold:  threshold,
 		minSamples: minSamples,

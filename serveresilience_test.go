@@ -301,10 +301,8 @@ func getStatus(t *testing.T, url string) (int, []byte) {
 // With the breaker open, every solve routes to the oracle-checked safe
 // floor; after the cooloff a passing audit closes it again.
 func TestServeBreakerFallbackOnly(t *testing.T) {
-	srv := NewServer(ServerConfig{
-		AuditEvery: 1, BreakerWindow: 4, BreakerMinSamples: 2,
-		BreakerThreshold: 0.5, BreakerCooloff: 50 * time.Millisecond,
-	})
+	srv := NewServer(ServerConfig{AuditEvery: 1})
+	srv.brk = newBreaker(4, 0.5, 2, 50*time.Millisecond)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 

@@ -23,6 +23,7 @@ var reachAllowlist = map[string]string{
 	"cluster.Converged":              "the root fault tests and the store tests check anti-entropy convergence with it",
 	"cluster.RollingRestartSchedule": "TestClusterRollingRestartUnderLoad (root package) draws its restart schedule from it",
 	"cluster.Ring.WithoutNode":       "the root churn tests compute the ring that a dead peer leaves with it",
+	"mat.Dense.Equal":                "thermal's tests compare matrices with it",
 	"mat.VecAdd":                     "thermal's tests superpose steady states with it",
 	"mat.VecAllGE":                   "thermal's tests check element-wise bounds with it",
 	"mat.VecEqual":                   "sim's and thermal's tests compare states with it",
@@ -77,21 +78,26 @@ func TestNoUnreachedInternalCode(t *testing.T) {
 // TestUnreachedCheckerSelfTest runs the checker over a source set parsed
 // from strings, so a checker that passes everything cannot go unnoticed:
 // of a self-recursive unreferenced func, a referenced func, a method
-// allowlisted by name and a stale allowlist entry, it must report exactly
-// the first and the last.
+// allowlisted by name, a method whose name only a standard-library call
+// (strings.Contains) shares, and a stale allowlist entry, it must report
+// exactly the first, the fourth and the last.
 func TestUnreachedCheckerSelfTest(t *testing.T) {
 	srcs := [][2]string{
 		{"internal/a/a.go", `package a
 type T struct{}
 func (T) String() string { return "t" }
+func (T) Contains(s string) bool { return s == "t" }
 var _ = T{}
 func Unused() { Unused() }
 func Used() int { return helper() }
 func helper() int { return 1 }
 `},
 		{"cmd/x/main.go", `package main
-import "thermosc/internal/a"
-func main() { _ = a.Used() }
+import (
+	"strings"
+	"thermosc/internal/a"
+)
+func main() { _ = a.Used(); _ = strings.Contains("t", "t") }
 `},
 	}
 	fset := token.NewFileSet()
@@ -109,7 +115,8 @@ func main() { _ = a.Used() }
 	})
 	want := []string{
 		`allowlist entry "a.Used" is stale: non-test code names it`,
-		"internal/a/a.go:5: a.Unused is named by no non-test code",
+		"internal/a/a.go:4: a.T.Contains is named by no non-test code",
+		"internal/a/a.go:6: a.Unused is named by no non-test code",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("checker reported\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -125,8 +132,9 @@ type srcFile struct {
 // no non-test file names and allow does not list, and one per stale entry
 // of allow. Names are matched without type information: a function or type
 // is named by a bare identifier in its own package or by pkg.Name from an
-// importer; a method is named by any selector with its name, except a call
-// through the method's own receiver inside its own body.
+// importer; a method is named by any selector with its name, except pkg.Name
+// on an imported package and a call through the method's own receiver
+// inside its own body.
 func unreached(fset *token.FileSet, files []srcFile, allow map[string]string) []string {
 	const internalPrefix = "thermosc/internal/"
 	type decl struct {
@@ -171,17 +179,22 @@ func unreached(fset *token.FileSet, files []srcFile, allow map[string]string) []
 
 	for _, sf := range files {
 		pkg := pkgOf(sf.path)
-		imports := map[string]string{} // local name -> internal package
+		// Local name -> the internal package it imports, or "" for any
+		// other package.
+		imports := map[string]string{}
 		for _, imp := range sf.file.Imports {
 			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil || !strings.HasPrefix(p, internalPrefix) {
+			if err != nil {
 				continue
 			}
 			name := path.Base(p)
 			if imp.Name != nil {
 				name = imp.Name.Name
 			}
-			imports[name] = strings.TrimPrefix(p, internalPrefix)
+			imports[name] = ""
+			if strings.HasPrefix(p, internalPrefix) {
+				imports[name] = strings.TrimPrefix(p, internalPrefix)
+			}
 		}
 		for _, d := range sf.file.Decls {
 			self, recv, method := "", "", ""
@@ -268,7 +281,9 @@ func markNames(n ast.Node, pkg, self, recv, method string, imports map[string]st
 		case *ast.SelectorExpr:
 			if x, ok := n.X.(*ast.Ident); ok {
 				if p, ok := imports[x.Name]; ok {
-					named[p+"."+n.Sel.Name] = true
+					if p != "" {
+						named[p+"."+n.Sel.Name] = true
+					}
 					return false
 				}
 				if x.Name == recv && n.Sel.Name == method {
