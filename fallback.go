@@ -52,14 +52,7 @@ var (
 // rejects the floor's own peak claim (which would indicate a model bug,
 // not an unlucky request).
 func (p *Platform) SafeFloorPlan(tmaxC float64) (*Plan, error) {
-	res, err := solver.SafeFloor(solver.Problem{
-		Model:      p.model,
-		Levels:     p.levels,
-		TmaxC:      tmaxC,
-		Overhead:   p.overhead,
-		BasePeriod: p.period,
-		Engine:     p.engine(),
-	})
+	res, err := solver.SafeFloor(p.problem(tmaxC))
 	if err != nil {
 		return nil, err
 	}

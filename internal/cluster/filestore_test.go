@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -109,9 +110,9 @@ func TestPlanStoreConformanceImmutableSortedDigest(t *testing.T) {
 			if len(ents) != 2 || ents[0].Key != "a" || ents[1].Key != "b" {
 				t.Fatalf("entries not key-sorted: %+v", ents)
 			}
-			d := st.Digest()
-			if len(d) != 2 || d["b"] != PlanHash([]byte(`{"v":1}`)) {
-				t.Fatalf("digest mismatch: %v", d)
+			// Keys, the pull a sync round sends, is in store (FIFO) order.
+			if keys := st.Keys(); len(keys) != 2 || keys[0] != "b" || keys[1] != "a" {
+				t.Fatalf("keys not in store order: %v", keys)
 			}
 			if st.Cap() != DefaultStoreCap {
 				t.Fatalf("cap %d, want default %d", st.Cap(), DefaultStoreCap)
@@ -136,14 +137,14 @@ func TestPlanStoreConformanceSyncAcrossBackends(t *testing.T) {
 	for i := 4; i < 10; i++ {
 		fs.Put(entry(i))
 	}
-	resp := HandleSync(fs, SyncRequest{From: "m", Digest: ms.Digest()})
+	resp := HandleSync(fs, SyncRequest{Keys: ms.Keys()})
 	for _, e := range resp.Entries {
 		ms.Put(e)
 	}
-	if push := HandleSync(fs, SyncRequest{From: "m", Entries: MissingEntries(ms, resp.Want)}); push.Applied != 4 {
+	if push := HandleSync(fs, SyncRequest{Entries: MissingEntries(ms, resp.Want)}); push.Applied != 4 {
 		t.Fatalf("push applied %d, want 4", push.Applied)
 	}
-	if !Converged(ms.Digest(), fs.Digest()) {
+	if !reflect.DeepEqual(ms.Entries(), fs.Entries()) {
 		t.Fatal("mixed backends did not converge")
 	}
 }
@@ -162,7 +163,7 @@ func TestFileStoreReopenRestores(t *testing.T) {
 			t.Fatalf("put %d rejected", i)
 		}
 	}
-	want := st.Digest()
+	want := st.Entries()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestFileStoreReopenRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if !Converged(want, re.Digest()) {
+	if !reflect.DeepEqual(want, re.Entries()) {
 		t.Fatal("reopened store diverges")
 	}
 	got, ok := re.Get(entry(3).Key)
@@ -195,14 +196,14 @@ func TestFileStoreReopenReplaysEviction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		st.Put(entry(i))
 	}
-	want := st.Digest()
+	want := st.Entries()
 	st.Close()
 	re, err := NewFileStore(path, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Len() != 3 || !Converged(want, re.Digest()) {
+	if re.Len() != 3 || !reflect.DeepEqual(want, re.Entries()) {
 		t.Fatalf("evicted replay diverges: len %d", re.Len())
 	}
 	for i := 0; i < 2; i++ {
@@ -278,13 +279,13 @@ func logLines(t *testing.T, path string) int {
 }
 
 // Opening a log that holds more entry lines than the store keeps
-// compacts it to the header plus the live entries, with the digest and
+// compacts it to the header plus the live entries, with the entries and
 // the FIFO eviction order unchanged. A sibling left by an interrupted
 // compaction changes nothing, and a compaction that cannot write its
 // sibling keeps the old log, still valid and in use.
 func TestFileStoreCompactsOnOpen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "plans.log")
-	var want map[string]string
+	var want []Entry
 	var fifo []string // the live keys at the last close, oldest first
 	for round := 0; round < 3; round++ {
 		if round == 2 {
@@ -299,8 +300,8 @@ func TestFileStoreCompactsOnOpen(t *testing.T) {
 		if got := logLines(t, path); got != 1+st.Len() {
 			t.Fatalf("open %d: log has %d lines, want 1+%d", round, got, st.Len())
 		}
-		if round > 0 && !Converged(want, st.Digest()) {
-			t.Fatalf("open %d: digest changed across the reopen", round)
+		if round > 0 && !reflect.DeepEqual(want, st.Entries()) {
+			t.Fatalf("open %d: entries changed across the reopen", round)
 		}
 		// Six new keys per open; the first three must evict the reopened
 		// keys oldest first.
@@ -318,7 +319,7 @@ func TestFileStoreCompactsOnOpen(t *testing.T) {
 			}
 		}
 		fifo = []string{entry(round*6 + 3).Key, entry(round*6 + 4).Key, entry(round*6 + 5).Key}
-		want = st.Digest()
+		want = st.Entries()
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +338,7 @@ func TestFileStoreCompactsOnOpen(t *testing.T) {
 	if !st.Put(entry(100)) {
 		t.Fatal("put after a failed compaction rejected")
 	}
-	want = st.Digest()
+	want = st.Entries()
 	st.Close()
 	if err := os.Remove(path + ".compact"); err != nil {
 		t.Fatal(err)
@@ -347,7 +348,7 @@ func TestFileStoreCompactsOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if !Converged(want, re.Digest()) || logLines(t, path) != 1+re.Len() {
+	if !reflect.DeepEqual(want, re.Entries()) || logLines(t, path) != 1+re.Len() {
 		t.Fatalf("append after a failed compaction lost: %d log lines for %d entries", logLines(t, path), re.Len())
 	}
 }
@@ -432,7 +433,7 @@ func TestFileStoreCloseSemantics(t *testing.T) {
 }
 
 // Concurrent writers against one store with a log stay race-clean and the log
-// replays to the same digest.
+// replays to the same entries.
 func TestFileStoreConcurrentPuts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "plans.log")
 	st, err := NewFileStore(path, 0)
@@ -452,21 +453,21 @@ func TestFileStoreConcurrentPuts(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		<-done
 	}
-	want := st.Digest()
+	want := st.Entries()
 	st.Close()
 	re, err := NewFileStore(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if !Converged(want, re.Digest()) {
+	if !reflect.DeepEqual(want, re.Entries()) {
 		t.Fatal("concurrent log replay diverges")
 	}
 }
 
 // FuzzFileStoreRecover writes arbitrary bytes as a store log and opens
 // it: opening never panics, and a log that opens holds only valid
-// entries within the cap and reopens to the same digest.
+// entries within the cap and reopens to the same entries.
 func FuzzFileStoreRecover(f *testing.F) {
 	// Short seeds keep minimizing a new input cheap: every execution
 	// fsyncs. Five entry lines, one a duplicate, over cap 3 replay with an
@@ -497,7 +498,7 @@ func FuzzFileStoreRecover(f *testing.F) {
 				t.Fatalf("recovered an invalid entry: %v", err)
 			}
 		}
-		want := st.Digest()
+		want := st.Entries()
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -506,7 +507,7 @@ func FuzzFileStoreRecover(f *testing.F) {
 			t.Fatalf("reopening a recovered log: %v", err)
 		}
 		defer re.Close()
-		if !Converged(want, re.Digest()) {
+		if !reflect.DeepEqual(want, re.Entries()) {
 			t.Fatal("reopened store diverges from the recovered one")
 		}
 	})

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -465,6 +467,13 @@ func fire(ctx context.Context, client *http.Client, lr LoadRequest, start time.T
 	}
 	out.latency = time.Since(sent)
 	return out
+}
+
+// PlanHash is the fingerprint the load generator compares served plans
+// by: SHA-256 of the plan bytes, truncated to 16 hex characters.
+func PlanHash(plan []byte) string {
+	sum := sha256.Sum256(plan)
+	return hex.EncodeToString(sum[:8])
 }
 
 func aggregate(reqs []LoadRequest, outcomes []loadOutcome, phases []LoadPhase) *LoadReport {

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,8 +25,8 @@ type Entry struct {
 	Key  string `json:"key"`
 	Plan []byte `json:"plan"`
 	// BornUnixNano is neither written nor read any more. It is kept only
-	// so sync messages and store logs from earlier releases, which carry
-	// it, still decode: both decoders reject unknown fields.
+	// so store logs from earlier releases, which carry it, still open:
+	// the log decoder rejects unknown fields.
 	BornUnixNano int64 `json:"born_unix_nano,omitempty"`
 }
 
@@ -69,14 +67,6 @@ func shortKey(k string) string {
 		return k[:32] + "…"
 	}
 	return k
-}
-
-// PlanHash is the content fingerprint gossip digests compare: SHA-256
-// of the plan bytes, truncated to 16 hex characters. Deterministic
-// plans make hash equality equivalent to byte equality in practice.
-func PlanHash(plan []byte) string {
-	sum := sha256.Sum256(plan)
-	return hex.EncodeToString(sum[:8])
 }
 
 // Store is the replicated plan store: a mutex-guarded map with
@@ -391,16 +381,16 @@ func (s *Store) Entries() []Entry {
 	return out
 }
 
-// Digest returns the key → PlanHash map anti-entropy rounds compare.
-func (s *Store) Digest() map[string]string {
+// Keys returns every stored key in FIFO order (the pull an
+// anti-entropy round sends).
+func (s *Store) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d := make(map[string]string, s.order.Len())
+	keys := make([]string, 0, s.order.Len())
 	for el := s.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*storeEntry).e
-		d[e.Key] = PlanHash(e.Plan)
+		keys = append(keys, el.Value.(*storeEntry).e.Key)
 	}
-	return d
+	return keys
 }
 
 // Close fsyncs and closes the log; without a log it does nothing. Puts

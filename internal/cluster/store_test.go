@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -92,29 +94,34 @@ func TestMemStoreImmutableAndSorted(t *testing.T) {
 	if len(ents) != 2 || ents[0].Key != "a" || ents[1].Key != "b" {
 		t.Fatalf("entries not key-sorted: %+v", ents)
 	}
-	d := st.Digest()
-	if len(d) != 2 || d["b"] != PlanHash([]byte(`{"v":1}`)) {
-		t.Fatalf("digest mismatch: %v", d)
-	}
 }
 
 func TestDecodeSyncRequestStrict(t *testing.T) {
 	cases := map[string]string{
-		"garbage":           `[`,
-		"trailing":          `{}{}`,
-		"unknown field":     `{"bogus":1}`,
-		"empty digest key":  `{"digest":{"":"abcd"}}`,
-		"empty digest hash": `{"digest":{"k":""}}`,
-		"bad entry":         `{"entries":[{"key":"","plan":"eA=="}]}`,
+		"garbage":       `[`,
+		"trailing":      `{}{}`,
+		"unknown field": `{"bogus":1}`,
+		"digest":        `{"digest":{}}`,
+		"from":          `{"from":"a","keys":[]}`,
+		"empty key":     `{"keys":[""]}`,
+		"keys object":   `{"keys":{"k":"abcd"}}`,
+		"bad entry":     `{"entries":[{"key":"","plan":"eA=="}]}`,
 	}
 	for name, body := range cases {
 		if _, err := DecodeSyncRequest([]byte(body)); err == nil {
 			t.Errorf("%s: decode accepted %q", name, body)
 		}
 	}
-	req, err := DecodeSyncRequest([]byte(`{"from":"a","digest":{"k":"abcd"}}`))
-	if err != nil || req.From != "a" || req.Digest["k"] != "abcd" {
+	req, err := DecodeSyncRequest([]byte(`{"keys":["k"]}`))
+	if err != nil || len(req.Keys) != 1 || req.Keys[0] != "k" {
 		t.Fatalf("valid request rejected: %+v %v", req, err)
+	}
+	// An empty list is a real pull (the export); null is push-only.
+	if req, err := DecodeSyncRequest([]byte(`{"keys":[]}`)); err != nil || req.Keys == nil {
+		t.Fatalf("empty pull lost: %+v %v", req, err)
+	}
+	if req, err := DecodeSyncRequest([]byte(`{"keys":null}`)); err != nil || req.Keys != nil {
+		t.Fatalf("push-only message became a pull: %+v %v", req, err)
 	}
 }
 
@@ -129,8 +136,8 @@ func TestHandleSyncConvergence(t *testing.T) {
 		b.Put(entry(i))
 	}
 
-	// Pull phase: A sends its digest to B.
-	resp := HandleSync(b, SyncRequest{From: "a", Digest: a.Digest()})
+	// Pull phase: A sends its keys to B.
+	resp := HandleSync(b, SyncRequest{Keys: a.Keys()})
 	if len(resp.Entries) != 4 { // entries 6..9
 		t.Fatalf("pull returned %d entries, want 4", len(resp.Entries))
 	}
@@ -141,16 +148,50 @@ func TestHandleSyncConvergence(t *testing.T) {
 		a.Put(e)
 	}
 	// Push phase: A sends what B asked for.
-	push := HandleSync(b, SyncRequest{From: "a", Entries: MissingEntries(a, resp.Want)})
+	push := HandleSync(b, SyncRequest{Entries: MissingEntries(a, resp.Want)})
 	if push.Applied != 4 {
 		t.Fatalf("push applied %d, want 4", push.Applied)
 	}
-	if !Converged(a.Digest(), b.Digest()) {
+	if !reflect.DeepEqual(a.Entries(), b.Entries()) {
 		t.Fatal("stores did not converge after one round")
 	}
 	// Converged stores: a further round is a no-op.
-	resp = HandleSync(b, SyncRequest{From: "a", Digest: a.Digest()})
+	resp = HandleSync(b, SyncRequest{Keys: a.Keys()})
 	if len(resp.Entries) != 0 || len(resp.Want) != 0 || resp.Applied != 0 {
 		t.Fatalf("converged round not a no-op: %+v", resp)
+	}
+}
+
+// BenchmarkHandleSyncConverged measures one converged anti-entropy pull
+// at both ends: the sender lists its keys and encodes the request, and
+// the receiver decodes it and answers from a store holding the same
+// 1,000 entries, so nothing moves. Keys and plans are the size of
+// fleet3-zipf's (~194 and ~700 bytes).
+func BenchmarkHandleSyncConverged(b *testing.B) {
+	const n = 1000
+	sender, receiver := NewMemStore(0), NewMemStore(0)
+	for i := 0; i < n; i++ {
+		e := Entry{
+			Key: fmt.Sprintf(`{"method":"AO","platform":{"rows":3,"cols":3,"layers":1,"voltages":[0.6,0.85,1.1,1.3],`+
+				`"ambient_c":35,"period_s":0.02,"overhead_s":5e-06,"core_edge_m":0.004,"convection_r":0.1},"tmax_c":%.4f}`, 55+float64(i)/128),
+			Plan: []byte(fmt.Sprintf(`{"version":1,"method":"AO","throughput":%d.5,"pad":%q}`, i, strings.Repeat("v", 640))),
+		}
+		sender.Put(e)
+		receiver.Put(e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body, err := json.Marshal(SyncRequest{Keys: sender.Keys()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		req, err := DecodeSyncRequest(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp := HandleSync(receiver, req); len(resp.Entries)+len(resp.Want) != 0 {
+			b.Fatalf("converged pull moved %d entries and wants %d", len(resp.Entries), len(resp.Want))
+		}
 	}
 }

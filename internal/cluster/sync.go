@@ -9,57 +9,54 @@ import (
 )
 
 // The anti-entropy protocol. Replication is pull-push gossip over full
-// key digests:
+// key lists:
 //
-//  1. A sends B a SyncRequest carrying A's Digest (key → plan hash).
+//  1. A sends B a SyncRequest carrying the Keys A stores.
 //  2. B applies nothing yet; it answers with the Entries B has that A's
-//     digest lacks, and a Want list of keys A has that B lacks.
+//     keys lack, and a Want list of keys A has that B lacks.
 //  3. A stores the received entries, then (if Want was non-empty) sends
 //     B a second SyncRequest carrying just those Entries; B stores them.
 //
 // One round therefore converges the PAIR in both directions with two
-// messages. Rounds are cheap — a digest is ~50 bytes per entry — so
-// replicas run them on a timer against peers in round-robin, and a
-// 3-node cluster converges within two intervals of any write. Plans are
-// deterministic per key, so conflicting hashes for the same key cannot
-// occur between honest replicas; if they ever do (bit-rot, version
-// skew), first-write-wins keeps each replica internally stable and the
-// divergence stays visible in the digests instead of flapping.
+// messages. Replicas run rounds on a timer against peers in round-robin,
+// so a 3-node cluster converges within two intervals of any write. Plans
+// are deterministic per key, so two replicas that hold a key hold the
+// same bytes and a round compares keys only; if the bytes ever differed
+// (bit-rot, version skew), first-write-wins keeps each replica
+// internally stable instead of flapping.
 //
 // The same messages export and import a store: a pull with an empty
-// digest returns every entry, key-sorted, and a push of those entries
+// key list returns every entry, key-sorted, and a push of those entries
 // loads them into another store.
 
-// SyncRequest is one gossip message: a digest (pull phase), entries
+// SyncRequest is one gossip message: a key list (pull phase), entries
 // (push phase), or both.
 type SyncRequest struct {
-	// From identifies the sender (its ring node name); informational.
-	From string `json:"from,omitempty"`
-	// Digest is the sender's key → PlanHash map; the receiver answers
-	// with what the sender is missing and asks for what it lacks itself.
-	// Nil means "no pull" (a push-only message); an EMPTY map is a real
-	// pull from an empty store and must survive the wire — hence no
-	// omitempty (nil marshals as null, empty as {}).
-	Digest map[string]string `json:"digest"`
+	// Keys are the keys the sender stores, in no particular order; the
+	// receiver answers with what the sender is missing and asks for what
+	// it lacks itself. Nil means "no pull" (a push-only message); an
+	// EMPTY list is a real pull from an empty store and must survive the
+	// wire — hence no omitempty (nil marshals as null, empty as []).
+	Keys []string `json:"keys"`
 	// Entries are pushed plans the receiver should store.
 	Entries []Entry `json:"entries,omitempty"`
 }
 
 // SyncResponse answers one SyncRequest.
 type SyncResponse struct {
-	// Entries are the plans the receiver has and the sender's digest
+	// Entries are the plans the receiver has and the sender's keys
 	// lacked, sorted by key.
 	Entries []Entry `json:"entries,omitempty"`
-	// Want lists the keys in the sender's digest the receiver lacks,
-	// sorted; the sender follows up with a push.
+	// Want lists the sender's keys the receiver lacks, sorted; the
+	// sender follows up with a push.
 	Want []string `json:"want,omitempty"`
 	// Applied is how many pushed entries were newly stored.
 	Applied int `json:"applied"`
 }
 
 // DecodeSyncRequest strictly parses a gossip message: unknown fields,
-// trailing data, oversized digests/entry lists, and invalid entries are
-// all errors, and decoding never panics on arbitrary input.
+// trailing data, oversized key/entry lists, and invalid keys or entries
+// are all errors, and decoding never panics on arbitrary input.
 func DecodeSyncRequest(b []byte) (SyncRequest, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
@@ -70,15 +67,15 @@ func DecodeSyncRequest(b []byte) (SyncRequest, error) {
 	if dec.More() {
 		return SyncRequest{}, errors.New("cluster: trailing data after sync request")
 	}
-	if len(req.Digest) > MaxSyncEntries {
-		return SyncRequest{}, fmt.Errorf("cluster: sync digest of %d keys exceeds the %d cap", len(req.Digest), MaxSyncEntries)
+	if len(req.Keys) > MaxSyncEntries {
+		return SyncRequest{}, fmt.Errorf("cluster: sync pull of %d keys exceeds the %d cap", len(req.Keys), MaxSyncEntries)
 	}
 	if len(req.Entries) > MaxSyncEntries {
 		return SyncRequest{}, fmt.Errorf("cluster: sync push of %d entries exceeds the %d cap", len(req.Entries), MaxSyncEntries)
 	}
-	for k, h := range req.Digest {
-		if k == "" || len(k) > MaxKeyBytes || h == "" || len(h) > 64 {
-			return SyncRequest{}, errors.New("cluster: sync digest carries a malformed key or hash")
+	for _, k := range req.Keys {
+		if k == "" || len(k) > MaxKeyBytes {
+			return SyncRequest{}, errors.New("cluster: sync pull carries a malformed key")
 		}
 	}
 	for i, e := range req.Entries {
@@ -99,18 +96,19 @@ func HandleSync(st *Store, req SyncRequest) SyncResponse {
 			resp.Applied++
 		}
 	}
-	if req.Digest == nil {
+	if req.Keys == nil {
 		return resp
 	}
-	for _, e := range st.Entries() { // already key-sorted
-		if _, ok := req.Digest[e.Key]; !ok {
-			resp.Entries = append(resp.Entries, e)
-		}
-	}
-	local := st.Digest()
-	for k := range req.Digest {
-		if _, ok := local[k]; !ok {
+	has := make(map[string]bool, len(req.Keys))
+	for _, k := range req.Keys {
+		if _, ok := st.Get(k); !ok && !has[k] {
 			resp.Want = append(resp.Want, k)
+		}
+		has[k] = true
+	}
+	for _, e := range st.Entries() { // already key-sorted
+		if !has[e.Key] {
+			resp.Entries = append(resp.Entries, e)
 		}
 	}
 	sort.Strings(resp.Want)
@@ -127,18 +125,4 @@ func MissingEntries(st *Store, keys []string) []Entry {
 		}
 	}
 	return out
-}
-
-// Converged reports whether two digests are identical — the
-// anti-entropy fixed point.
-func Converged(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, h := range a {
-		if b[k] != h {
-			return false
-		}
-	}
-	return true
 }

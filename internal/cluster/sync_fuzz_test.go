@@ -14,14 +14,14 @@ func FuzzPlanStoreSync(f *testing.F) {
 	for i := 0; i < 4; i++ {
 		st.Put(entry(i))
 	}
-	if b, err := json.Marshal(SyncRequest{From: "a", Entries: st.Entries()}); err == nil {
+	if b, err := json.Marshal(SyncRequest{Entries: st.Entries()}); err == nil {
 		f.Add(b)
 	}
-	f.Add([]byte(`{"digest":{}}`))
+	f.Add([]byte(`{"keys":[]}`))
 	f.Add([]byte(`{"entries":[{"key":"k","plan":"eyJ2IjoxfQ==","born_unix_nano":12}]}`))
-	f.Add([]byte(`{"from":"a","digest":{"k":"abcd1234"}}`))
-	f.Add([]byte(`{"entries":[{"key":"k","plan":"eA=="}],"digest":{"q":"ffff"}}`))
-	f.Add([]byte(`{"digest":null,"entries":null}`))
+	f.Add([]byte(`{"keys":["k","k"]}`))
+	f.Add([]byte(`{"entries":[{"key":"k","plan":"eA=="}],"keys":["q"]}`))
+	f.Add([]byte(`{"keys":null,"entries":null}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
 	f.Add([]byte(`[]`))
@@ -39,6 +39,11 @@ func FuzzPlanStoreSync(f *testing.F) {
 			for _, e := range resp.Entries {
 				if err := e.Validate(); err != nil {
 					t.Fatalf("sync response carries an invalid entry: %v", err)
+				}
+			}
+			for i := 1; i < len(resp.Want); i++ {
+				if resp.Want[i] <= resp.Want[i-1] {
+					t.Fatalf("want list is not sorted and duplicate-free: %q", resp.Want)
 				}
 			}
 			HandleSync(st, SyncRequest{Entries: MissingEntries(st, resp.Want)})

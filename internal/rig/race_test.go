@@ -6,75 +6,6 @@ import (
 	"testing"
 )
 
-// TestRigConcurrentReaders steps a rig while goroutines hammer the
-// concurrent read surface. Run with -race (the repo's test-race target
-// does): the assertion here is freedom from data races plus an unchanged
-// deterministic trace — concurrent scraping must never perturb the run.
-func TestRigConcurrentReaders(t *testing.T) {
-	sc := faultySc(21)
-	sc.HorizonS = 1
-
-	run := func(readers int) *Report {
-		r, err := New(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := PlanAO(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		guard, err := GuardFor(r.Scenario(), plan, r.Levels())
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		for w := 0; w < readers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					st := r.Stats()
-					if st.Step < 0 || st.Step > 100 {
-						panic("stats snapshot out of range")
-					}
-					for _, c := range r.SensedC() {
-						_ = c
-					}
-					for _, c := range r.TrueTempsC() {
-						if c > 500 {
-							panic("implausible temperature snapshot")
-						}
-					}
-					if _, err := r.TraceJSON(); err != nil {
-						panic(err)
-					}
-				}
-			}()
-		}
-		rep, err := r.Run(guard)
-		close(stop)
-		wg.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-
-	loud := run(4)  // scraped by 4 goroutines
-	quiet := run(0) // no readers at all
-	if loud.TraceSHA256 != quiet.TraceSHA256 {
-		t.Fatalf("concurrent readers perturbed the trace: %s vs %s",
-			loud.TraceSHA256, quiet.TraceSHA256)
-	}
-}
-
 // Concurrent independent rigs on the same scenario must not share state:
 // byte-identical traces from parallel runs.
 func TestRigParallelRunsDeterministic(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"thermosc/internal/floorplan"
 	"thermosc/internal/mat"
@@ -60,22 +59,6 @@ type StepRecord struct {
 	Violation   bool    `json:"violation"`
 }
 
-// Stats is a point-in-time snapshot of the run counters, safe to scrape
-// concurrently with stepping.
-type Stats struct {
-	Step              int     `json:"step"`
-	TimeS             float64 `json:"time_s"`
-	TruePeakC         float64 `json:"true_peak_c"`
-	ViolationS        float64 `json:"violation_s"`
-	Transitions       int     `json:"transitions"`
-	FailedTransitions int     `json:"failed_transitions"`
-	DroppedSamples    int     `json:"dropped_samples"`
-	StuckSamples      int     `json:"stuck_samples"`
-	Spikes            int     `json:"spikes"`
-	StallS            float64 `json:"stall_s"`
-	Done              bool    `json:"done"`
-}
-
 // Report summarizes one completed run.
 type Report struct {
 	Name              string  `json:"name"`
@@ -98,9 +81,9 @@ type Report struct {
 	TraceSHA256       string  `json:"trace_sha256"`
 }
 
-// Rig is one closed-loop emulation instance. All exported methods are
-// safe for concurrent use: Run steps the plant under the rig lock, and
-// readers (SensedC, TrueTempsC, Stats) snapshot between steps.
+// Rig is one closed-loop emulation instance, driven by one goroutine:
+// Run steps the plant and returns the Report, and nothing reads the rig
+// while it runs.
 type Rig struct {
 	sc      Scenario
 	planner *thermal.Model
@@ -109,8 +92,7 @@ type Rig struct {
 	prop    *thermal.Propagator // plant operator cache
 	unit    *mat.Dense          // plant steady response to 1 W per core
 
-	mu      sync.Mutex
-	running bool
+	ran bool // Run was called
 
 	ctrl    Controller
 	step    int
@@ -245,19 +227,16 @@ func (r *Rig) LimitC() float64 { return r.sc.TmaxC + r.sc.GuardK }
 // Run drives ctrl in closed loop for the scenario horizon and returns the
 // run report. A Rig runs at most once; build a fresh Rig to repeat.
 func (r *Rig) Run(ctrl Controller) (*Report, error) {
-	r.mu.Lock()
-	if r.running {
-		r.mu.Unlock()
+	if r.ran {
 		return nil, fmt.Errorf("rig: Run called twice on one Rig")
 	}
-	r.running = true
+	r.ran = true
 	r.ctrl = ctrl
 
 	n := r.plant.NumCores()
 	if il, ok := ctrl.(InitialLeveler); ok {
 		init := il.InitialLevels(n)
 		if len(init) != n {
-			r.mu.Unlock()
 			return nil, fmt.Errorf("rig: controller initial levels: %d for %d cores", len(init), n)
 		}
 		copy(r.applied, init)
@@ -268,18 +247,15 @@ func (r *Rig) Run(ctrl Controller) (*Report, error) {
 	}
 	for i, l := range r.applied {
 		if l < -1 || l >= r.levels.Len() {
-			r.mu.Unlock()
 			return nil, fmt.Errorf("rig: initial level %d for core %d outside [-1,%d)", l, i, r.levels.Len())
 		}
 	}
 	if ws, ok := ctrl.(WarmStarter); ok {
 		st, err := ws.WarmStart(r.plant)
 		if err != nil {
-			r.mu.Unlock()
 			return nil, fmt.Errorf("rig: warm start: %w", err)
 		}
 		if len(st) != r.plant.NumNodes() {
-			r.mu.Unlock()
 			return nil, fmt.Errorf("rig: warm-start state has %d nodes, want %d", len(st), r.plant.NumNodes())
 		}
 		copy(r.state, st)
@@ -290,24 +266,15 @@ func (r *Rig) Run(ctrl Controller) (*Report, error) {
 		r.sensed[i] = r.plant.Absolute(r.state[i])
 	}
 	r.trackPeak()
-	r.mu.Unlock()
 
-	for {
-		r.mu.Lock()
-		done := r.step >= r.steps
-		if !done {
-			r.stepLocked()
-		}
-		r.mu.Unlock()
-		if done {
-			break
-		}
+	for r.step < r.steps {
+		r.advance()
 	}
 	return r.report(), nil
 }
 
-// stepLocked advances one control step. Caller holds r.mu.
-func (r *Rig) stepLocked() {
+// advance runs one control step.
+func (r *Rig) advance() {
 	n := r.plant.NumCores()
 	t0 := float64(r.step) * r.sc.StepS
 
@@ -507,29 +474,8 @@ func (r *Rig) readSensors(t float64) {
 	}
 }
 
-// Stats snapshots the run counters.
-func (r *Rig) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return Stats{
-		Step:              r.step,
-		TimeS:             float64(r.step) * r.sc.StepS,
-		TruePeakC:         r.truePeakC,
-		ViolationS:        r.violS,
-		Transitions:       r.transitions,
-		FailedTransitions: r.failedTransitions,
-		DroppedSamples:    r.dropped,
-		StuckSamples:      r.stuckSamples,
-		Spikes:            r.spikeCount,
-		StallS:            r.stallS,
-		Done:              r.step >= r.steps,
-	}
-}
-
 // report builds the final Report (called after the run loop ends).
 func (r *Rig) report() *Report {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	tj, err := json.Marshal(r.trace)
 	if err != nil {
 		tj = nil // cannot happen for these types; keep the hash empty

@@ -272,12 +272,12 @@ func TestStatsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(FromPolicy(constPolicy{})); err != nil {
+	rep, err := r.Run(FromPolicy(constPolicy{}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := r.Stats()
-	if !st.Done || st.Step != 50 || st.TimeS != 0.5 {
-		t.Fatalf("stats after run: %+v", st)
+	if rep.Steps != 50 || rep.HorizonS != 0.5 {
+		t.Fatalf("report after run: %+v", rep)
 	}
 	temps := r.TrueTempsC()
 	sensed := r.SensedC()
@@ -392,15 +392,11 @@ func TestCompareWarmStartsBaselines(t *testing.T) {
 
 // SensedC returns the latest delivered sensor readings (absolute °C).
 func (r *Rig) SensedC() []float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return append([]float64(nil), r.sensed...)
 }
 
 // TrueTempsC returns the plant's true core temperatures (absolute °C).
 func (r *Rig) TrueTempsC() []float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]float64, r.plant.NumCores())
 	for i := range out {
 		out[i] = r.plant.Absolute(r.state[i])
@@ -411,7 +407,5 @@ func (r *Rig) TrueTempsC() []float64 {
 // TraceJSON renders the recorded per-step trace as deterministic JSON:
 // the same scenario seed always produces byte-identical output.
 func (r *Rig) TraceJSON() ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return json.Marshal(r.trace)
 }

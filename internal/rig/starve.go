@@ -12,14 +12,15 @@ import (
 )
 
 // PlanAnytime solves the scenario's AO plan under a hard wall-clock
-// budget, walking the same degradation chain the serving layer uses:
-// a complete AO solve if the budget allows, the solver's tagged
-// best-so-far plan when the deadline truncates the search, and the
-// oracle-checked constant safe floor when the deadline expires before
-// any incumbent exists. The returned reason is solver.DegradedNone for
-// a complete solve. Degraded plans are timing-dependent; callers that
-// need replay determinism must solve once and reuse the schedule (see
-// planCache).
+// budget: a complete AO solve if the budget allows, the solver's tagged
+// best-so-far plan when the deadline truncates the search, and
+// solver.SafeFloor when the deadline expires before any incumbent
+// exists. Unlike the serving layer's fallback chain, it runs no oracle
+// check on the truncated or floor plan: the rig measures whatever it
+// returns against the plant's true temperatures. The returned reason is
+// solver.DegradedNone for a complete solve. Degraded plans are
+// timing-dependent; callers that need replay determinism must solve once
+// and reuse the schedule (see planCache).
 func PlanAnytime(r *Rig, budget time.Duration) (*schedule.Schedule, solver.DegradedReason, error) {
 	prob := planProblem(r)
 	ctx, cancel := context.WithTimeout(context.Background(), budget)

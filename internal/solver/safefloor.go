@@ -12,10 +12,10 @@ import "fmt"
 // SafeFloor never observes the problem's context: it is what the anytime
 // chain falls back to AFTER a deadline, so it must complete even under an
 // already-expired Ctx (the solve is two linear evaluations — microseconds,
-// not a search). The result is tagged DegradedFallback; callers are
-// expected to re-check its peak with the independent oracle before
-// serving it (internal/verify via Platform.Audit — verify cannot be
-// imported from here without a cycle).
+// not a search). The result is tagged DegradedFallback and its peak is
+// the solver's own claim; a caller that serves it re-checks that peak
+// with the independent oracle first, as Platform.SafeFloorPlan does with
+// internal/verify.
 //
 // Typed refusals instead of useless plans:
 //

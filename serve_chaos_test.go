@@ -197,8 +197,7 @@ func TestServeChaos(t *testing.T) {
 	if status, _ := getStatus(t, ts.URL+"/healthz"); status != 200 {
 		t.Fatal("daemon unhealthy after the storm")
 	}
-	srv.waitAudits()
-	srv.waitRefreshes()
+	srv.waitIdle()
 
 	st := srv.Stats()
 	t.Logf("chaos stats: %d sheds, %d panics recovered, %d degraded served, %d stale served, breaker %s (%d trips)",

@@ -566,7 +566,7 @@ func TestClusterRollingRestartUnderLoad(t *testing.T) {
 		t.Fatalf("report has %d phases, want %d", len(report.Phases), len(events)+1)
 	}
 
-	// Post-heal: every replica answers, digests converge.
+	// Post-heal: every replica answers, stores converge.
 	tc.syncAll(t)
 	for _, body := range bodiesByOwner(t, tc) {
 		var ref []byte

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -225,7 +226,7 @@ func TestClusterFileStoreKillRestart(t *testing.T) {
 	if wantLen < 3 {
 		t.Fatalf("victim replicated only %d entries before the kill", wantLen)
 	}
-	wantDigest := tc.srvs[victim].cluster.store.Digest()
+	wantEntries := tc.srvs[victim].cluster.store.Entries()
 	tc.stopReplica(victim)
 
 	cfg := ServerConfig{}
@@ -236,7 +237,7 @@ func TestClusterFileStoreKillRestart(t *testing.T) {
 	if got.Len() != wantLen {
 		t.Fatalf("restarted store has %d entries, want %d", got.Len(), wantLen)
 	}
-	if !cluster.Converged(wantDigest, got.Digest()) {
+	if !reflect.DeepEqual(wantEntries, got.Entries()) {
 		t.Fatal("restarted store diverges from the pre-kill state")
 	}
 	// Every seeded key serves from the recovered store — cached, and

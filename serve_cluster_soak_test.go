@@ -24,8 +24,8 @@ import (
 //     different complete plans, no matter which replica answered, and a
 //     direct post-load probe of every replica returns byte-identical
 //     plans;
-//  3. the fleet converges — after the load the anti-entropy digests of
-//     all three replicated stores are equal;
+//  3. the fleet converges — after the load all three replicated stores
+//     hold the same keys with the same plan bytes;
 //  4. the serve-source accounting holds per node (the sum invariant).
 //
 // THERMOSC_CLUSTER_REQUESTS scales the request count (CI runs 100k);
@@ -109,7 +109,8 @@ func TestClusterSoak(t *testing.T) {
 	}
 
 	// 3. Post-load convergence: drive anti-entropy to quiescence and
-	// compare digests (syncAll fails the test if they never equalize).
+	// compare the stores' entries (syncAll fails the test if they never
+	// equalize).
 	tc.syncAll(t)
 
 	// Direct probe: every replica must return byte-identical complete

@@ -32,7 +32,7 @@ func TestServeAuditHookPass(t *testing.T) {
 	if status, b := postJSON(t, ts.URL+"/v1/maximize", maximizeBody("AO")); status != 200 {
 		t.Fatalf("cold solve: status %d: %s", status, b)
 	}
-	srv.waitAudits()
+	srv.waitIdle()
 
 	st := srv.Stats()
 	if st.Audit.VerifyPass != 1 || st.Audit.VerifyFail != 0 {
@@ -43,7 +43,7 @@ func TestServeAuditHookPass(t *testing.T) {
 	if status, _ := postJSON(t, ts.URL+"/v1/maximize", maximizeBody("AO")); status != 200 {
 		t.Fatal("cache hit failed")
 	}
-	srv.waitAudits()
+	srv.waitIdle()
 	if st := srv.Stats(); st.Audit.VerifyPass != 1 {
 		t.Fatalf("cache hit triggered an audit: %+v", st.Audit)
 	}
@@ -69,9 +69,9 @@ func TestServeAuditHookFail(t *testing.T) {
 	}
 	plan.PeakC += 1 // tamper: the oracle's differential must catch this
 
-	srv.auditWG.Add(1)
+	srv.work.Add(1)
 	srv.runAudit(plat, plan, 65)
-	srv.waitAudits()
+	srv.waitIdle()
 
 	st := srv.Stats()
 	if st.Audit.VerifyFail != 1 {
@@ -82,9 +82,9 @@ func TestServeAuditHookFail(t *testing.T) {
 	}
 
 	// An audit that cannot run at all (schedule-less plan) is a failure too.
-	srv.auditWG.Add(1)
+	srv.work.Add(1)
 	srv.runAudit(plat, &Plan{Method: MethodAO, M: 1, Feasible: true}, 65)
-	srv.waitAudits()
+	srv.waitIdle()
 	if st := srv.Stats(); st.Audit.VerifyFail != 2 {
 		t.Fatalf("schedule-less plan not counted: %+v", st.Audit)
 	}

@@ -363,7 +363,7 @@ func (c *serveCluster) nextPeer() string {
 }
 
 // syncNow runs one pull-push anti-entropy round against peer: send our
-// digest, store what the peer has that we lack, push what it asked for.
+// keys, store what the peer has that we lack, push what it asked for.
 // It returns how many entries it pushed. The round's outcome doubles as
 // a failure-detector observation — every gossip tick is a free health
 // probe.
@@ -387,7 +387,7 @@ func (c *serveCluster) syncNow(ctx context.Context, peer string) (int, error) {
 }
 
 func (c *serveCluster) syncRound(ctx context.Context, peer string) (int, error) {
-	resp, err := c.postSync(ctx, peer, cluster.SyncRequest{From: c.cfg.Self, Digest: c.store.Digest()})
+	resp, err := c.postSync(ctx, peer, cluster.SyncRequest{Keys: c.store.Keys()})
 	if err != nil {
 		return 0, err
 	}
@@ -400,7 +400,7 @@ func (c *serveCluster) syncRound(ctx context.Context, peer string) (int, error) 
 	if len(push) == 0 {
 		return 0, nil
 	}
-	if _, err := c.postSync(ctx, peer, cluster.SyncRequest{From: c.cfg.Self, Entries: push}); err != nil {
+	if _, err := c.postSync(ctx, peer, cluster.SyncRequest{Entries: push}); err != nil {
 		return 0, err
 	}
 	c.entriesSent.Add(uint64(len(push)))

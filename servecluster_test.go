@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -141,8 +142,8 @@ func (tc *testCluster) restartReplica(t *testing.T, i int, cfg ServerConfig, syn
 }
 
 // syncAll drives pairwise anti-entropy rounds until every replica's
-// store digest matches (or fails the test after a bounded number of
-// sweeps).
+// store holds the same keys and plan bytes (or fails the test after a
+// bounded number of sweeps).
 func (tc *testCluster) syncAll(t *testing.T) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -169,23 +170,16 @@ func (tc *testCluster) syncAll(t *testing.T) {
 }
 
 func (tc *testCluster) converged() bool {
-	var ref map[string]string
+	var ref []cluster.Entry
 	for i, srv := range tc.srvs {
 		if tc.https[i] == nil {
 			continue
 		}
-		d := srv.cluster.store.Digest()
+		ents := srv.cluster.store.Entries()
 		if ref == nil {
-			ref = d
-			continue
-		}
-		if len(d) != len(ref) {
+			ref = ents
+		} else if !reflect.DeepEqual(ents, ref) {
 			return false
-		}
-		for k, h := range ref {
-			if d[k] != h {
-				return false
-			}
 		}
 	}
 	return true
@@ -387,7 +381,7 @@ func TestClusterKeepsEachPlanInOneCache(t *testing.T) {
 	if status != http.StatusOK || !hit.Cached || !hit.Stale || !hit.Degraded {
 		t.Fatalf("degraded hit: HTTP %d cached=%v stale=%v degraded=%v", status, hit.Cached, hit.Stale, hit.Degraded)
 	}
-	srv.waitRefreshes()
+	srv.waitIdle()
 	status, hit = postMaximize(t, ts.URL, body)
 	if status != http.StatusOK || !hit.Cached || hit.Stale || hit.Degraded {
 		t.Fatalf("hit after the refresh: HTTP %d cached=%v stale=%v degraded=%v", status, hit.Cached, hit.Stale, hit.Degraded)
@@ -482,7 +476,7 @@ func postSync(t *testing.T, url, body string) (int, cluster.SyncResponse) {
 }
 
 // The sync endpoint is the store's export and import: a pull with an
-// empty digest returns every entry, key-sorted, and a push of those
+// empty key list returns every entry, key-sorted, and a push of those
 // entries loads a fresh replica, which then serves them cached and
 // byte-identical. A malformed message is a 400.
 func TestClusterSyncExportImport(t *testing.T) {
@@ -497,7 +491,7 @@ func TestClusterSyncExportImport(t *testing.T) {
 	}
 	tc.syncAll(t)
 
-	status, export := postSync(t, tc.urls[0], `{"digest":{}}`)
+	status, export := postSync(t, tc.urls[0], `{"keys":[]}`)
 	want := tc.srvs[0].cluster.store.Entries()
 	if status != http.StatusOK || len(export.Entries) != len(want) || len(want) < len(refPlans) {
 		t.Fatalf("export: HTTP %d, %d entries, want all %d", status, len(export.Entries), len(want))
@@ -527,7 +521,7 @@ func TestClusterSyncExportImport(t *testing.T) {
 			t.Fatalf("imported key: HTTP %d cached=%v, byte-identical=%v", status, mr.Cached, bytes.Equal(mr.Plan, plan))
 		}
 	}
-	if status, _ := postSync(t, ts.URL, `{"digest":{},"version":1}`); status != http.StatusBadRequest {
+	if status, _ := postSync(t, ts.URL, `{"keys":[],"version":1}`); status != http.StatusBadRequest {
 		t.Fatalf("malformed sync: HTTP %d, want 400", status)
 	}
 }

@@ -44,19 +44,18 @@ type Server struct {
 	// single-process mode.
 	cluster *serveCluster
 
+	// work counts the in-flight requests, sampled audits and stale-plan
+	// refreshes; Shutdown waits for it to drain. A request adds to it
+	// under mu only while the server is open. An audit or a refresh adds
+	// while the request or refresh that starts it still holds a count, so
+	// no add from zero can race Shutdown's Wait.
 	mu     sync.Mutex
-	cond   *sync.Cond
-	active int
 	closed bool
+	work   sync.WaitGroup
 
-	// Sampled post-solve auditing (ServerConfig.AuditEvery): solves
-	// counts cold solves for the every-Nth sampling; auditWG tracks the
-	// in-flight async audit goroutines so Shutdown (and tests) can wait
-	// for them. refreshWG does the same for stale-while-revalidate
-	// cache refreshes.
-	solves    atomic.Uint64
-	auditWG   sync.WaitGroup
-	refreshWG sync.WaitGroup
+	// solves counts cold solves for the every-Nth audit sampling
+	// (ServerConfig.AuditEvery).
+	solves atomic.Uint64
 
 	// solveHook, when set, runs inside the flight leader just before the
 	// solve. Tests use it to inject latency and panics (chaos testing);
@@ -154,7 +153,6 @@ func NewServer(cfg ServerConfig) *Server {
 	s.platforms = newLRUCache[*Platform](s.cfg.PlatformCacheSize)
 	s.admit = newAdmission(s.cfg.SolveConcurrency, s.cfg.SolveQueue)
 	s.brk = newBreaker(breakerWindow, breakerThreshold, breakerMinSamples, breakerCooloff)
-	s.cond = sync.NewCond(&s.mu)
 	if cfg.Cluster != nil {
 		c, err := newServeCluster(*cfg.Cluster)
 		if err != nil {
@@ -176,7 +174,7 @@ func NewServer(cfg ServerConfig) *Server {
 // ServeHTTP implements http.Handler. It is the per-request panic
 // boundary: a panicking handler (a solver bug, or injected chaos)
 // answers 500 and increments panics_recovered instead of killing the
-// daemon. The handler's own deferred accounting (leave, in-flight
+// daemon. The handler's own deferred accounting (work count, in-flight
 // gauge, latency observation) runs during the unwind, so the drain and
 // stats stay consistent across panics.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -218,13 +216,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	done := make(chan struct{})
 	go func() {
-		s.mu.Lock()
-		for s.active > 0 {
-			s.cond.Wait()
-		}
-		s.mu.Unlock()
-		s.auditWG.Wait()   // async post-solve audits drain with the requests
-		s.refreshWG.Wait() // so do stale-plan refreshes
+		s.work.Wait() // requests, audits and refreshes
 		close(done)
 	}()
 	select {
@@ -238,24 +230,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// enter admits one request unless the server is draining.
+// enter admits one request unless the server is draining; an admitted
+// request calls s.work.Done when it is answered.
 func (s *Server) enter() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return false
 	}
-	s.active++
+	s.work.Add(1)
 	return true
-}
-
-func (s *Server) leave() {
-	s.mu.Lock()
-	s.active--
-	if s.active == 0 {
-		s.cond.Broadcast()
-	}
-	s.mu.Unlock()
 }
 
 // maxBodyBytes bounds request bodies; a maximize/simulate request is a
@@ -348,7 +332,7 @@ func (s *Server) handleMaximize(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is shutting down"})
 		return
 	}
-	defer s.leave()
+	defer s.work.Done()
 	start := time.Now()
 	s.stats.inFlight.Add(1)
 	defer s.stats.inFlight.Add(-1)
@@ -497,7 +481,7 @@ func (s *Server) solvePlan(ctx context.Context, planKey, platKey string, req Max
 	// Only complete plans enter the audit sampling: degraded plans were
 	// already oracle-checked synchronously by the fallback chain.
 	if !plan.Degraded && s.cfg.AuditEvery > 0 && s.solves.Add(1)%uint64(s.cfg.AuditEvery) == 0 {
-		s.auditWG.Add(1)
+		s.work.Add(1) // the request or refresh solving this plan holds a count
 		go s.runAudit(plat, plan, req.TmaxC)
 	}
 	return ent, nil
@@ -515,10 +499,10 @@ func (s *Server) refreshAsync(planKey, platKey string, req MaximizeRequest) {
 		s.mu.Unlock()
 		return
 	}
-	s.refreshWG.Add(1)
+	s.work.Add(1) // the stale hit's request holds a count
 	s.mu.Unlock()
 	go func() {
-		defer s.refreshWG.Done()
+		defer s.work.Done()
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.stats.panicRecovered()
@@ -539,7 +523,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is shutting down"})
 		return
 	}
-	defer s.leave()
+	defer s.work.Done()
 	start := time.Now()
 	s.stats.inFlight.Add(1)
 	defer s.stats.inFlight.Add(-1)
@@ -589,7 +573,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // Audit verdicts also feed the circuit breaker: a failure streak trips
 // the service to fallback-only planning (see breaker).
 func (s *Server) runAudit(plat *Platform, plan *Plan, tmaxC float64) {
-	defer s.auditWG.Done()
+	defer s.work.Done()
 	defer func() {
 		if rec := recover(); rec != nil { // the oracle must never kill the daemon
 			s.stats.panicRecovered()

@@ -189,7 +189,7 @@ func TestServeTimeoutCancelsSearch(t *testing.T) {
 	if mr2 := decodeMaximize(t, b); !mr2.Cached || !mr2.Stale || !mr2.Degraded {
 		t.Fatalf("degraded cache hit not served stale-while-revalidate: %s", b)
 	}
-	srv.waitRefreshes()
+	srv.waitIdle()
 	if st := srv.Stats(); st.Resilience.StaleServed < 1 || st.Resilience.DegradedServed < 2 || st.Resilience.Refreshes < 1 {
 		t.Fatalf("resilience counters missed the degraded flow: %+v", st.Resilience)
 	}
@@ -303,9 +303,7 @@ func TestServeShutdownDrains(t *testing.T) {
 	}
 }
 
-// waitAudits blocks until every in-flight async audit has finished, so
-// tests observe the counters deterministically; waitRefreshes does the
-// same for stale-plan refreshes.
-func (s *Server) waitAudits() { s.auditWG.Wait() }
-
-func (s *Server) waitRefreshes() { s.refreshWG.Wait() }
+// waitIdle blocks until every in-flight request, async audit and
+// stale-plan refresh has finished, so tests observe the counters
+// deterministically. No request may start while it waits.
+func (s *Server) waitIdle() { s.work.Wait() }

@@ -205,7 +205,7 @@ func normalizePlatform(spec PlatformSpec, lim serveLimits) (PlatformSpec, error)
 		return c, badRequestf("platform: ambient_c %v outside [-273.15, 500]", spec.AmbientC)
 	}
 	if c.PeriodS == 0 {
-		c.PeriodS = 20e-3
+		c.PeriodS = defaultPeriodS
 	}
 	if !finite(c.PeriodS) || c.PeriodS < 1e-6 || c.PeriodS > 3600 {
 		// The 1 µs floor rejects subnormal periods at decode (400) rather
@@ -223,7 +223,7 @@ func normalizePlatform(spec PlatformSpec, lim serveLimits) (PlatformSpec, error)
 		c.OverheadS = &tau // detach from the caller's pointer
 	}
 	if c.CoreEdgeM == 0 {
-		c.CoreEdgeM = 4e-3
+		c.CoreEdgeM = defaultCoreEdgeM
 	}
 	if !finite(c.CoreEdgeM) || c.CoreEdgeM < 1e-5 || c.CoreEdgeM > 1 {
 		return c, badRequestf("platform: core_edge_m %v outside [1e-5, 1]", spec.CoreEdgeM)

@@ -341,7 +341,7 @@ func TestServeBreakerFallbackOnly(t *testing.T) {
 	if mr := decodeMaximize(t, b); mr.Degraded {
 		t.Fatalf("probe solve still degraded: %s", b)
 	}
-	srv.waitAudits()
+	srv.waitIdle()
 	if st := srv.Stats(); st.Resilience.BreakerState != breakerClosed {
 		t.Fatalf("passing probe audit did not close the breaker: %+v", st.Resilience)
 	}

@@ -87,18 +87,38 @@ func (p *Platform) engine() *sim.Engine {
 	return p.eng
 }
 
+// problem is the solver problem for threshold tmaxC on this platform,
+// on the platform's shared engine.
+func (p *Platform) problem(tmaxC float64) solver.Problem {
+	return solver.Problem{
+		Model:      p.model,
+		Levels:     p.levels,
+		TmaxC:      tmaxC,
+		Overhead:   p.overhead,
+		BasePeriod: p.period,
+		Engine:     p.engine(),
+	}
+}
+
+// The platform defaults New applies and the service's canonical
+// request form spells out.
+const (
+	defaultCoreEdgeM = 4e-3  // core edge, meters
+	defaultPeriodS   = 20e-3 // base period t_p, seconds
+)
+
 // New builds a rows×cols grid platform with the repository's calibrated
 // 65 nm defaults (4×4 mm² cores, 35 °C ambient, 0.6–1.3 V DVFS range in
 // 0.05 V steps, 5 µs transition stalls, 20 ms base period), modified by
 // the given options.
 func New(rows, cols int, opts ...Option) (*Platform, error) {
 	cfg := config{
-		coreEdge: 4e-3,
+		coreEdge: defaultCoreEdgeM,
 		pkg:      thermal.HotSpot65nm(),
 		pwr:      power.DefaultModel(),
 		levels:   power.FullRange(),
 		overhead: power.DefaultOverhead(),
-		period:   20e-3,
+		period:   defaultPeriodS,
 	}
 	for _, o := range opts {
 		if err := o(&cfg); err != nil {
@@ -205,16 +225,9 @@ func (p *Platform) Maximize(m Method, tmaxC float64) (*Plan, error) {
 // requests against the same platform reuse each other's thermal
 // operators.
 func (p *Platform) MaximizeContext(ctx context.Context, m Method, tmaxC float64, workers int) (*Plan, error) {
-	prob := solver.Problem{
-		Model:      p.model,
-		Levels:     p.levels,
-		TmaxC:      tmaxC,
-		Overhead:   p.overhead,
-		BasePeriod: p.period,
-		Workers:    workers,
-		Ctx:        ctx,
-		Engine:     p.engine(),
-	}
+	prob := p.problem(tmaxC)
+	prob.Workers = workers
+	prob.Ctx = ctx
 	var (
 		res *solver.Result
 		err error
@@ -245,15 +258,8 @@ func (p *Platform) MaximizeContext(ctx context.Context, m Method, tmaxC float64,
 // achieving it. Useful for fan policies and reliability budgeting when
 // the performance contract is fixed.
 func (p *Platform) MinimizePeak(targetThroughput, tolK float64) (*Plan, float64, error) {
-	prob := solver.Problem{
-		Model:      p.model,
-		Levels:     p.levels,
-		TmaxC:      p.model.Package().AmbientC + 30, // placeholder; MinPeak brackets internally
-		Overhead:   p.overhead,
-		BasePeriod: p.period,
-		Engine:     p.engine(),
-	}
-	res, tmin, err := solver.MinPeak(prob, targetThroughput, tolK)
+	// The threshold is a placeholder; MinPeak brackets internally.
+	res, tmin, err := solver.MinPeak(p.problem(p.model.Package().AmbientC+30), targetThroughput, tolK)
 	if err != nil {
 		return nil, 0, err
 	}

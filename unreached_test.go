@@ -20,7 +20,6 @@ import (
 // method (pkg is the directory under internal/), or a bare method name for
 // methods that exist to satisfy an interface, whatever their receiver.
 var reachAllowlist = map[string]string{
-	"cluster.Converged":              "the root fault tests and the store tests check anti-entropy convergence with it",
 	"cluster.RollingRestartSchedule": "TestClusterRollingRestartUnderLoad (root package) draws its restart schedule from it",
 	"cluster.Ring.WithoutNode":       "the root churn tests compute the ring that a dead peer leaves with it",
 	"mat.Dense.Equal":                "thermal's tests compare matrices with it",
