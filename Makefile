@@ -55,9 +55,11 @@ bench-json:
 	$(GO) run ./cmd/thermosc-bench -out BENCH_ao.ci.json -baseline BENCH_ao.json \
 		-min-par-speedup $(MIN_PAR_SPEEDUP) -compare-out bench_compare.md
 
-# Regenerate every paper table/figure (text).
+# Regenerate every paper table/figure (text). Above one worker, EXS's
+# branch-and-bound node count, and AO's evaluation count that includes
+# it, depend on scheduling; GOMAXPROCS=1 makes Table V's counts replay.
 experiments:
-	$(GO) run ./cmd/thermosc-experiments | tee docs/experiments_full_output.txt
+	GOMAXPROCS=1 $(GO) run ./cmd/thermosc-experiments | tee docs/experiments_full_output.txt
 
 # Short fuzzing passes over the parsers and transforms. -run '^$' keeps
 # each step from rerunning its package's unit suite (the test job runs
@@ -68,6 +70,7 @@ fuzz:
 	$(GO) test ./internal/rig -run '^$$' -fuzz FuzzRigScenario -fuzztime $(FUZZTIME)
 	$(GO) test . -run '^$$' -fuzz FuzzPlanUnmarshal -fuzztime $(FUZZTIME)
 	$(GO) test . -run '^$$' -fuzz FuzzServeRequest -fuzztime $(FUZZTIME)
+	$(GO) test . -run '^$$' -fuzz FuzzSimulateRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzPlanStoreSync -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzFileStoreRecover -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/floorplan -run '^$$' -fuzz FuzzGenSpec -fuzztime $(FUZZTIME)

@@ -31,6 +31,7 @@ import (
 	"thermosc/internal/floorplan"
 	"thermosc/internal/governor"
 	"thermosc/internal/power"
+	"thermosc/internal/rig"
 	"thermosc/internal/rt"
 	"thermosc/internal/schedule"
 	"thermosc/internal/sim"
@@ -495,18 +496,14 @@ func BenchmarkCrossover(b *testing.B) {
 // --- closed-loop component benchmarks -----------------------------------
 
 func BenchmarkGovernorClosedLoop(b *testing.B) {
-	md, err := thermal.Default(3, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ls, err := power.PaperLevels(2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pol := &governor.StepWise{TripC: 62, HystK: 2, Levels: ls.Len()}
-	b.ResetTimer()
+	// 10 s of a step-wise governor on the default 3×1, two-level rig.
+	sc := &rig.Scenario{Seed: 1, HorizonS: 10, SubSteps: 2}
 	for i := 0; i < b.N; i++ {
-		if _, err := governor.Simulate(md, ls, pol, governor.Sensor{PeriodS: 10e-3}, 65, 10, 2, 2, 1); err != nil {
+		r, err := rig.New(sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.Run(&governor.StepWise{TripC: 62, HystK: 2, Levels: r.Levels().Len()}); err != nil {
 			b.Fatal(err)
 		}
 	}

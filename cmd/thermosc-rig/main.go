@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 
-	"thermosc/internal/governor"
 	"thermosc/internal/rig"
 )
 
@@ -107,7 +106,6 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	canon := r.Scenario()
 	var ctrl rig.Controller
 	switch *ctrlName {
 	case "guard":
@@ -115,16 +113,14 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return err
 		}
-		ctrl, err = rig.GuardFor(canon, plan, r.Levels())
+		ctrl, err = rig.GuardFor(r.Scenario(), plan, r.Levels())
 		if err != nil {
 			return err
 		}
 	case "stepwise":
-		ctrl = rig.FromPolicy(&governor.StepWise{TripC: canon.TmaxC, HystK: 2, Levels: r.Levels().Len()})
+		ctrl = rig.StepWiseFor(r)
 	case "predictive":
-		pred := governor.NewPredictive(r.PlannerModel(), r.Levels(), canon.TmaxC, 1.0, canon.StepS)
-		pred.LatencyS = canon.Actuator.LatencyS
-		ctrl = rig.FromPolicy(pred)
+		ctrl = rig.PredictiveFor(r)
 	default:
 		return fmt.Errorf("unknown controller %q (want guard, stepwise, or predictive)", *ctrlName)
 	}

@@ -6,63 +6,27 @@
 // peak temperature violations or maximizing throughputs" because they
 // depend on sensor accuracy and sampling latency.
 //
-// The closed-loop simulator advances the exact LTI thermal model between
-// sensor samples, injects configurable sensor noise and quantization, and
-// records the true (not sensed) temperature trajectory, so violation
-// statistics are honest.
+// Every governor is an internal/rig Controller: the rig calls Decide once
+// per control step with the sensed absolute core temperatures and the
+// applied level indices (ascending into the LevelSet, -1 = off), and the
+// levels Decide chose hold for the whole step. The rig's plant supplies
+// the sensor faults and records the true temperature trajectory, so
+// violation statistics are honest.
 package governor
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 
 	"thermosc/internal/mat"
 	"thermosc/internal/power"
-	"thermosc/internal/thermal"
 )
 
-// Sensor models the run-time temperature telemetry a reactive policy acts
-// on: sampled every PeriodS seconds, with zero-mean Gaussian noise of
-// NoiseStdK kelvins and optional quantization to StepK increments.
-type Sensor struct {
-	PeriodS   float64
-	NoiseStdK float64
-	StepK     float64 // 0 disables quantization
-}
+// held keeps the per-core levels a governor chose at its last Decide.
+type held struct{ want []int }
 
-// DefaultSensor reflects commodity on-die thermal diodes: 10 ms polling,
-// ±1 K (1σ) error, 1 K readout quantization.
-func DefaultSensor() Sensor {
-	return Sensor{PeriodS: 10e-3, NoiseStdK: 1.0, StepK: 1.0}
-}
-
-// read produces the sensed absolute temperatures for the true core
-// temperatures (absolute °C).
-func (s Sensor) read(trueC []float64, rng *rand.Rand) []float64 {
-	out := make([]float64, len(trueC))
-	for i, t := range trueC {
-		v := t
-		if s.NoiseStdK > 0 {
-			v += rng.NormFloat64() * s.NoiseStdK
-		}
-		if s.StepK > 0 {
-			v = math.Round(v/s.StepK) * s.StepK
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// Policy decides, from the sensed absolute core temperatures and the
-// current per-core level indices, the level indices for the next control
-// interval. Implementations must not retain the slices they are given.
-type Policy interface {
-	Name() string
-	// Next returns the new per-core level indices (into the LevelSet,
-	// ascending). Indices of -1 mean the core is powered off.
-	Next(sensedC []float64, current []int) []int
-}
+// Want implements rig.Controller: the levels chosen at the last Decide.
+// Before the first Decide it leaves out unchanged.
+func (h *held) Want(_ float64, out []int) { copy(out, h.want) }
 
 // StepWise mimics the Linux "step_wise" thermal governor: a core above
 // TripC steps one level down each control period; a core below
@@ -71,15 +35,16 @@ type StepWise struct {
 	TripC  float64
 	HystK  float64
 	Levels int // number of available levels
+	held
 }
 
-// Name implements Policy.
+// Name implements rig.Controller.
 func (g *StepWise) Name() string { return "step-wise" }
 
-// Next implements Policy.
-func (g *StepWise) Next(sensedC []float64, current []int) []int {
-	next := make([]int, len(current))
-	for i, cur := range current {
+// Decide implements rig.Controller.
+func (g *StepWise) Decide(_ float64, sensedC []float64, applied []int) {
+	next := make([]int, len(applied))
+	for i, cur := range applied {
 		switch {
 		case sensedC[i] > g.TripC && cur > -1:
 			next[i] = cur - 1
@@ -89,7 +54,7 @@ func (g *StepWise) Next(sensedC []float64, current []int) []int {
 			next[i] = cur
 		}
 	}
-	return next
+	g.want = next
 }
 
 // OnOff is the crude clamp governor: a core above TripC drops to the
@@ -98,15 +63,16 @@ type OnOff struct {
 	TripC   float64
 	ResumeC float64
 	Levels  int
+	held
 }
 
-// Name implements Policy.
+// Name implements rig.Controller.
 func (g *OnOff) Name() string { return "on-off" }
 
-// Next implements Policy.
-func (g *OnOff) Next(sensedC []float64, current []int) []int {
-	next := make([]int, len(current))
-	for i, cur := range current {
+// Decide implements rig.Controller.
+func (g *OnOff) Decide(_ float64, sensedC []float64, applied []int) {
+	next := make([]int, len(applied))
+	for i, cur := range applied {
 		switch {
 		case sensedC[i] > g.TripC:
 			next[i] = 0
@@ -116,7 +82,7 @@ func (g *OnOff) Next(sensedC []float64, current []int) []int {
 			next[i] = cur
 		}
 	}
-	return next
+	g.want = next
 }
 
 // PI is a chip-level proportional-integral feedback governor (the
@@ -132,6 +98,7 @@ type PI struct {
 
 	integ float64
 	cmd   float64
+	held
 }
 
 // NewPI builds a PI governor over the given level set.
@@ -144,11 +111,11 @@ func NewPI(setC, kp, ki float64, levels *power.LevelSet) *PI {
 	}
 }
 
-// Name implements Policy.
+// Name implements rig.Controller.
 func (g *PI) Name() string { return "PI" }
 
-// Next implements Policy.
-func (g *PI) Next(sensedC []float64, current []int) []int {
+// Decide implements rig.Controller.
+func (g *PI) Decide(_ float64, sensedC []float64, applied []int) {
 	hottest, _ := mat.VecMax(sensedC)
 	err := g.SetC - hottest // positive = headroom
 	g.integ += err
@@ -172,107 +139,9 @@ func (g *PI) Next(sensedC []float64, current []int) []int {
 			lvl = k
 		}
 	}
-	next := make([]int, len(current))
+	next := make([]int, len(applied))
 	for i := range next {
 		next[i] = lvl
 	}
-	return next
-}
-
-// Result summarizes one closed-loop run.
-type Result struct {
-	Policy string
-	// Throughput is the time-averaged chip-wide speed (eq. (5) over the
-	// simulated horizon, excluding the warm-up window).
-	Throughput float64
-	// TruePeakC is the hottest TRUE core temperature observed (absolute
-	// °C), sampled at sub-interval resolution.
-	TruePeakC float64
-	// ViolationFrac is the fraction of (post-warm-up) time the true
-	// hottest temperature exceeded the threshold.
-	ViolationFrac float64
-	// Switches counts total per-core level changes (DVFS transitions).
-	Switches int
-}
-
-// Simulate runs the policy in closed loop for horizon seconds on the
-// model, starting from ambient at the highest level. warmup seconds are
-// excluded from the throughput/violation statistics (but not from the
-// true peak). subSamples ≥ 1 true-temperature samples are taken inside
-// every control interval to catch intra-interval peaks.
-func Simulate(md *thermal.Model, levels *power.LevelSet, pol Policy, sensor Sensor,
-	tmaxC, horizon, warmup float64, subSamples int, seed int64) (*Result, error) {
-	if sensor.PeriodS <= 0 {
-		return nil, fmt.Errorf("governor: non-positive sensor period %v", sensor.PeriodS)
-	}
-	if horizon <= warmup {
-		return nil, fmt.Errorf("governor: horizon %v must exceed warmup %v", horizon, warmup)
-	}
-	if subSamples < 1 {
-		subSamples = 1
-	}
-	n := md.NumCores()
-	rng := rand.New(rand.NewSource(seed))
-
-	lvl := make([]int, n)
-	for i := range lvl {
-		lvl[i] = levels.Len() - 1 // start flat out, like a naive OS
-	}
-	modes := make([]power.Mode, n)
-	state := md.ZeroState()
-
-	res := &Result{Policy: pol.Name()}
-	var work, active, violation float64
-	truePeak := math.Inf(-1)
-
-	steps := int(math.Ceil(horizon / sensor.PeriodS))
-	for k := 0; k < steps; k++ {
-		now := float64(k) * sensor.PeriodS
-		for i, l := range lvl {
-			if l < 0 {
-				modes[i] = power.ModeOff
-			} else {
-				modes[i] = levels.Mode(l)
-			}
-		}
-		tinf := md.SteadyState(modes)
-		// Advance through the control interval, sampling true temps.
-		sub := sensor.PeriodS / float64(subSamples)
-		for s := 0; s < subSamples; s++ {
-			state = md.StepToward(sub, state, tinf)
-			hot, _ := mat.VecMax(md.CoreTemps(state))
-			hotC := md.Absolute(hot)
-			if hotC > truePeak {
-				truePeak = hotC
-			}
-			if now+float64(s+1)*sub > warmup && hotC > tmaxC {
-				violation += sub
-			}
-		}
-		if now >= warmup {
-			var speed float64
-			for _, m := range modes {
-				speed += m.Speed()
-			}
-			work += speed * sensor.PeriodS
-			active += sensor.PeriodS
-		}
-		// Sense and decide the next interval's levels.
-		trueC := make([]float64, n)
-		for i, rise := range md.CoreTemps(state) {
-			trueC[i] = md.Absolute(rise)
-		}
-		next := pol.Next(sensor.read(trueC, rng), lvl)
-		for i := range next {
-			if next[i] != lvl[i] {
-				res.Switches++
-			}
-		}
-		lvl = next
-	}
-
-	res.Throughput = work / (active * float64(n))
-	res.TruePeakC = truePeak
-	res.ViolationFrac = violation / (horizon - warmup)
-	return res, nil
+	g.want = next
 }

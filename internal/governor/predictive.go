@@ -46,6 +46,7 @@ type Predictive struct {
 	LatencyS float64
 
 	state []float64 // full-node temperature-rise estimate
+	held
 }
 
 // NewPredictive builds the governor for the given model and level set
@@ -59,12 +60,12 @@ func NewPredictive(md *thermal.Model, levels *power.LevelSet, tmaxC, guardK, hor
 	}
 }
 
-// Name implements Policy.
+// Name implements rig.Controller.
 func (g *Predictive) Name() string { return "predictive" }
 
 // SeedState initializes the observer's full-node temperature-rise
 // estimate, for attaching the governor to an already-hot chip. The
-// sensed-core correction in Next cannot see hidden package nodes, so a
+// sensed-core correction in Decide cannot see hidden package nodes, so a
 // cold-started observer under-predicts a hot plant for a package time
 // constant and over-clocks it the whole while; seeding from the known
 // regime removes that transient. The slice is copied and must match the
@@ -77,12 +78,13 @@ func (g *Predictive) SeedState(rise []float64) error {
 	return nil
 }
 
-// Next implements Policy.
-func (g *Predictive) Next(sensedC []float64, current []int) []int {
-	next := make([]int, len(current))
+// Decide implements rig.Controller.
+func (g *Predictive) Decide(_ float64, sensedC []float64, applied []int) {
+	next := make([]int, len(applied))
 	if g.HorizonS <= 0 || math.IsNaN(g.HorizonS) {
-		copy(next, current) // zero-length interval: nothing to predict
-		return next
+		copy(next, applied) // zero-length interval: nothing to predict
+		g.want = next
+		return
 	}
 	// Observer correction: trust the sensors at the core nodes.
 	for i := range sensedC {
@@ -93,7 +95,7 @@ func (g *Predictive) Next(sensedC []float64, current []int) []int {
 	// The stall burns at the higher of the two rails; use the hottest
 	// currently-applied voltage as the outgoing side.
 	var curV float64
-	for _, l := range current {
+	for _, l := range applied {
 		if l >= 0 && g.levels.Mode(l).Voltage > curV {
 			curV = g.levels.Mode(l).Voltage
 		}
@@ -158,5 +160,5 @@ func (g *Predictive) Next(sensedC []float64, current []int) []int {
 	for i := range next {
 		next[i] = chosen
 	}
-	return next
+	g.want = next
 }

@@ -1,45 +1,38 @@
-package governor
+package governor_test
 
 import (
 	"testing"
 
+	"thermosc/internal/governor"
 	"thermosc/internal/power"
+	"thermosc/internal/rig"
 	"thermosc/internal/thermal"
 )
 
 func TestPredictiveHoldsConstraintWithCleanSensors(t *testing.T) {
 	md, ls := testSetup(t)
-	pol := NewPredictive(md, ls, 65, 0.5, 10e-3)
-	res, err := Simulate(md, ls, pol, Sensor{PeriodS: 10e-3}, 65, 120, 40, 4, 1)
-	if err != nil {
-		t.Fatal(err)
+	pol := governor.NewPredictive(md, ls, 65, 0.5, 10e-3)
+	rep := runRig(t, pol, 10e-3, 120, 4, rig.SensorFaults{}, 1)
+	if rep.TruePeakC > 65.05 {
+		t.Fatalf("predictive governor violated the cap: %.3f", rep.TruePeakC)
 	}
-	if res.TruePeakC > 65.05 {
-		t.Fatalf("predictive governor violated the cap: %.3f", res.TruePeakC)
+	if frac := rep.ViolationS / rep.HorizonS; frac > 0.001 {
+		t.Fatalf("violation fraction %.4f", frac)
 	}
-	if res.ViolationFrac > 0.001 {
-		t.Fatalf("violation fraction %.4f", res.ViolationFrac)
+	if rep.Throughput <= 0.6 {
+		t.Fatalf("predictive throughput %.4f too low", rep.Throughput)
 	}
-	if res.Throughput <= 0.6 {
-		t.Fatalf("predictive throughput %.4f too low", res.Throughput)
-	}
-	if res.Policy != "predictive" {
-		t.Fatalf("name %q", res.Policy)
+	if rep.Controller != "predictive" {
+		t.Fatalf("name %q", rep.Controller)
 	}
 }
 
 func TestPredictiveBeatsGuardedStepWise(t *testing.T) {
 	md, ls := testSetup(t)
-	pred := NewPredictive(md, ls, 65, 0.5, 10e-3)
-	resPred, err := Simulate(md, ls, pred, Sensor{PeriodS: 10e-3}, 65, 120, 40, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	guarded := &StepWise{TripC: 60, HystK: 2, Levels: ls.Len()}
-	resStep, err := Simulate(md, ls, guarded, Sensor{PeriodS: 10e-3}, 65, 120, 40, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pred := governor.NewPredictive(md, ls, 65, 0.5, 10e-3)
+	resPred := runRig(t, pred, 10e-3, 120, 4, rig.SensorFaults{}, 1)
+	guarded := &governor.StepWise{TripC: 60, HystK: 2, Levels: ls.Len()}
+	resStep := runRig(t, guarded, 10e-3, 120, 4, rig.SensorFaults{}, 1)
 	// The model-based governor should ride closer to the cap than a
 	// blind step-wise with a 5 K guard band — higher throughput, no
 	// violations.
@@ -51,13 +44,10 @@ func TestPredictiveBeatsGuardedStepWise(t *testing.T) {
 
 func TestPredictiveSurvivesNoisySensors(t *testing.T) {
 	md, ls := testSetup(t)
-	pol := NewPredictive(md, ls, 65, 2.0, 10e-3) // guard sized to the noise
-	res, err := Simulate(md, ls, pol, DefaultSensor(), 65, 120, 40, 4, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ViolationFrac > 0.02 {
-		t.Fatalf("noisy predictive violations %.4f beyond budget", res.ViolationFrac)
+	pol := governor.NewPredictive(md, ls, 65, 2.0, 10e-3) // guard sized to the noise
+	rep := runRig(t, pol, 10e-3, 120, 4, noisy, 42)
+	if frac := rep.ViolationS / rep.HorizonS; frac > 0.02 {
+		t.Fatalf("noisy predictive violations %.4f beyond budget", frac)
 	}
 }
 
@@ -65,13 +55,10 @@ func TestPredictiveFallsBackToFloor(t *testing.T) {
 	md, ls := testSetup(t)
 	// Impossibly tight budget: the governor must settle at the lowest
 	// level rather than panic.
-	pol := NewPredictive(md, ls, 36, 0.5, 10e-3)
-	res, err := Simulate(md, ls, pol, Sensor{PeriodS: 10e-3}, 36, 30, 10, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Throughput > 0.6+1e-9 {
-		t.Fatalf("expected floor throughput, got %.4f", res.Throughput)
+	pol := governor.NewPredictive(md, ls, 36, 0.5, 10e-3)
+	rep := runRig(t, pol, 10e-3, 30, 2, rig.SensorFaults{}, 1)
+	if rep.Throughput > 0.6+1e-9 {
+		t.Fatalf("expected floor throughput, got %.4f", rep.Throughput)
 	}
 }
 
@@ -86,18 +73,19 @@ func TestPredictiveDegenerateHorizonHoldsCurrent(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pol := NewPredictive(md, ls, 65, 0.5, tc.horizonS)
+			pol := governor.NewPredictive(md, ls, 65, 0.5, tc.horizonS)
 			cur := []int{1, 0, -1}
-			got := pol.Next([]float64{50, 50, 50}, cur)
+			got := decide(pol, []float64{50, 50, 50}, cur)
 			for i := range cur {
 				if got[i] != cur[i] {
 					t.Fatalf("zero-length interval must hold: core %d got %d want %d", i, got[i], cur[i])
 				}
 			}
 			// The hold must not alias the caller's slice.
-			got[0] = 99
-			if cur[0] == 99 {
-				t.Fatal("Next aliased the current-levels slice")
+			cur[0] = 99
+			pol.Want(0, got)
+			if got[0] == 99 {
+				t.Fatal("Decide aliased the applied-levels slice")
 			}
 		})
 	}
@@ -113,10 +101,10 @@ func TestPredictiveSingleModePlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, latency := range []float64{0, 5e-3, 50e-3} {
-		pol := NewPredictive(md, ls, 65, 0.5, 10e-3)
+		pol := governor.NewPredictive(md, ls, 65, 0.5, 10e-3)
 		pol.LatencyS = latency
 		// Cool die: the only level is feasible and must be chosen.
-		got := pol.Next([]float64{45, 45, 45}, []int{0, 0, 0})
+		got := decide(pol, []float64{45, 45, 45}, []int{0, 0, 0})
 		for i, l := range got {
 			if l != 0 {
 				t.Fatalf("latency %v: core %d got level %d, single-mode platform has only 0", latency, i, l)
@@ -124,7 +112,7 @@ func TestPredictiveSingleModePlatform(t *testing.T) {
 		}
 		// Scorching die: level 0 is still the floor — the governor must
 		// settle there, not panic or index out of range.
-		got = pol.Next([]float64{80, 80, 80}, []int{0, 0, 0})
+		got = decide(pol, []float64{80, 80, 80}, []int{0, 0, 0})
 		for i, l := range got {
 			if l != 0 {
 				t.Fatalf("latency %v hot: core %d got %d", latency, i, l)
@@ -135,14 +123,14 @@ func TestPredictiveSingleModePlatform(t *testing.T) {
 
 func TestPredictiveZeroLatencyMatchesClassic(t *testing.T) {
 	md, ls := testSetup(t)
-	a := NewPredictive(md, ls, 65, 0.5, 10e-3)
-	b := NewPredictive(md, ls, 65, 0.5, 10e-3)
+	a := governor.NewPredictive(md, ls, 65, 0.5, 10e-3)
+	b := governor.NewPredictive(md, ls, 65, 0.5, 10e-3)
 	b.LatencyS = 0
 	sensed := []float64{52, 54, 53}
 	cur := []int{1, 1, 1}
 	for step := 0; step < 25; step++ {
-		ga := a.Next(sensed, cur)
-		gb := b.Next(sensed, cur)
+		ga := decide(a, sensed, cur)
+		gb := decide(b, sensed, cur)
 		for i := range ga {
 			if ga[i] != gb[i] {
 				t.Fatalf("step %d: zero latency diverged from classic: %v vs %v", step, ga, gb)
@@ -173,17 +161,14 @@ func TestPredictiveLatencyBeyondPeriod(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pol := NewPredictive(md, ls, 65, 0.5, 10e-3)
+			pol := governor.NewPredictive(md, ls, 65, 0.5, 10e-3)
 			pol.LatencyS = tc.latencyS
-			res, err := Simulate(md, ls, pol, Sensor{PeriodS: 10e-3}, 65, 120, 40, 4, 1)
-			if err != nil {
-				t.Fatal(err)
+			rep := runRig(t, pol, 10e-3, 120, 4, rig.SensorFaults{}, 1)
+			if rep.TruePeakC > 65.1 {
+				t.Fatalf("latency %v: predictive peak %.3f violates the cap", tc.latencyS, rep.TruePeakC)
 			}
-			if res.TruePeakC > 65.1 {
-				t.Fatalf("latency %v: predictive peak %.3f violates the cap", tc.latencyS, res.TruePeakC)
-			}
-			if res.Throughput <= 0.5 {
-				t.Fatalf("latency %v: throughput %.4f collapsed", tc.latencyS, res.Throughput)
+			if rep.Throughput <= 0.5 {
+				t.Fatalf("latency %v: throughput %.4f collapsed", tc.latencyS, rep.Throughput)
 			}
 		})
 	}
@@ -195,13 +180,13 @@ func TestPredictiveLatencyBeyondPeriod(t *testing.T) {
 func TestPredictiveLatencyIsConservative(t *testing.T) {
 	md, ls := testSetup(t)
 	for _, sensedPeak := range []float64{58, 60, 62, 64, 64.8} {
-		fast := NewPredictive(md, ls, 65, 0.5, 10e-3)
-		slow := NewPredictive(md, ls, 65, 0.5, 10e-3)
+		fast := governor.NewPredictive(md, ls, 65, 0.5, 10e-3)
+		slow := governor.NewPredictive(md, ls, 65, 0.5, 10e-3)
 		slow.LatencyS = 25e-3
 		sensed := []float64{sensedPeak - 1, sensedPeak, sensedPeak - 0.5}
 		cur := []int{0, 0, 0}
-		gf := fast.Next(sensed, cur)
-		gs := slow.Next(sensed, cur)
+		gf := decide(fast, sensed, cur)
+		gs := decide(slow, sensed, cur)
 		if gs[0] > gf[0] {
 			t.Fatalf("sensed %.1f: slow rail picked level %d above instantaneous %d",
 				sensedPeak, gs[0], gf[0])
@@ -253,8 +238,8 @@ func TestPredictiveSeedState(t *testing.T) {
 	// A 1 s horizon makes the divergence visible in ONE decision: from
 	// the true (hot-package) state the cores climb ~0.3 K/s through the
 	// budget, from a cold-package state the model predicts them falling.
-	cold := NewPredictive(md, ls, 65, 0.5, 1.0)
-	seeded := NewPredictive(md, ls, 65, 0.5, 1.0)
+	cold := governor.NewPredictive(md, ls, 65, 0.5, 1.0)
+	seeded := governor.NewPredictive(md, ls, 65, 0.5, 1.0)
 	if err := seeded.SeedState(make([]float64, 1)); err == nil {
 		t.Fatal("want dimension-mismatch error from SeedState")
 	}
@@ -262,8 +247,8 @@ func TestPredictiveSeedState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := cold.Next(sensedC, cur)
-	b := seeded.Next(sensedC, cur)
+	a := decide(cold, sensedC, cur)
+	b := decide(seeded, sensedC, cur)
 	if a[0] != ls.Len()-1 {
 		t.Fatalf("cold observer should stay optimistic at level %d, picked %d", ls.Len()-1, a[0])
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"thermosc/internal/actuator"
-	"thermosc/internal/governor"
 	"thermosc/internal/power"
 	"thermosc/internal/schedule"
 	"thermosc/internal/sim"
@@ -141,18 +140,10 @@ func (g *PlanGuard) InitialLevels(n int) []int {
 	return out
 }
 
-// WarmStart implements WarmStarter: the plant's thermally stable state
-// under the unperturbed plan — the hot regime a long-running deployment
-// actually sits in.
+// WarmStart implements WarmStarter: the plant's stable state under the
+// plan.
 func (g *PlanGuard) WarmStart(plant *thermal.Model) ([]float64, error) {
-	if plant.NumCores() != g.sched.NumCores() {
-		return nil, fmt.Errorf("rig: plan has %d cores, plant %d", g.sched.NumCores(), plant.NumCores())
-	}
-	st, err := sim.NewStable(plant, g.sched)
-	if err != nil {
-		return nil, err
-	}
-	return st.Start(), nil
+	return planStart(plant, g.sched)
 }
 
 // Cap returns the watchdog's current level cap (for tests and traces).
@@ -167,47 +158,11 @@ func levelIndex(ls *power.LevelSet, v float64) (int, error) {
 	return 0, fmt.Errorf("rig: schedule voltage %v is not a platform level", v)
 }
 
-// policyCtrl adapts an internal/governor Policy (step-wise, on-off, PI,
-// predictive) to the rig's Controller interface: the policy decides once
-// per control step and the wish holds for the whole step.
-type policyCtrl struct {
-	pol  governor.Policy
-	want []int
-}
-
-// FromPolicy wraps a reactive/predictive governor policy as a rig
-// Controller.
-func FromPolicy(pol governor.Policy) Controller {
-	return &policyCtrl{pol: pol}
-}
-
-func (c *policyCtrl) Name() string { return c.pol.Name() }
-
-func (c *policyCtrl) Decide(now float64, sensedC []float64, applied []int) {
-	c.want = c.pol.Next(sensedC, applied)
-}
-
-func (c *policyCtrl) Want(t float64, out []int) {
-	if c.want == nil {
-		return // before the first Decide (unreachable in the rig loop): hold
-	}
-	copy(out, c.want)
-}
-
 // stateSeeder is implemented by controllers whose internal observer can
 // be initialized from a known plant state (rise above ambient, full node
 // vector).
 type stateSeeder interface {
 	SeedState(rise []float64) error
-}
-
-// SeedState forwards the plant state to the wrapped policy's observer
-// when it has one (the predictive governor does; step-wise is stateless).
-func (c *policyCtrl) SeedState(rise []float64) error {
-	if s, ok := c.pol.(stateSeeder); ok {
-		return s.SeedState(rise)
-	}
-	return nil
 }
 
 // WithPlanWarmStart gives any controller the same warm start a PlanGuard
@@ -228,18 +183,27 @@ func WithPlanWarmStart(c Controller, sched *schedule.Schedule) Controller {
 }
 
 func (w *planWarm) WarmStart(plant *thermal.Model) ([]float64, error) {
-	if plant.NumCores() != w.sched.NumCores() {
-		return nil, fmt.Errorf("rig: plan has %d cores, plant %d", w.sched.NumCores(), plant.NumCores())
-	}
-	st, err := sim.NewStable(plant, w.sched)
+	start, err := planStart(plant, w.sched)
 	if err != nil {
 		return nil, err
 	}
-	start := st.Start()
 	if s, ok := w.Controller.(stateSeeder); ok {
 		if err := s.SeedState(start); err != nil {
 			return nil, err
 		}
 	}
 	return start, nil
+}
+
+// planStart is the plant's thermally stable state under the unperturbed
+// plan — the hot regime a long-running deployment actually sits in.
+func planStart(plant *thermal.Model, sched *schedule.Schedule) ([]float64, error) {
+	if plant.NumCores() != sched.NumCores() {
+		return nil, fmt.Errorf("rig: plan has %d cores, plant %d", sched.NumCores(), plant.NumCores())
+	}
+	st, err := sim.NewStable(plant, sched)
+	if err != nil {
+		return nil, err
+	}
+	return st.Start(), nil
 }

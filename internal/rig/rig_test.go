@@ -3,8 +3,21 @@ package rig
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
+
+	"thermosc/internal/governor"
+)
+
+// Every reactive governor runs on the rig directly, and the predictive
+// one's observer takes the warm start's state.
+var (
+	_ Controller  = (*governor.StepWise)(nil)
+	_ Controller  = (*governor.OnOff)(nil)
+	_ Controller  = (*governor.PI)(nil)
+	_ Controller  = (*governor.Predictive)(nil)
+	_ stateSeeder = (*governor.Predictive)(nil)
 )
 
 // faultySc is a short, fully loaded scenario exercising every fault
@@ -144,7 +157,7 @@ func TestRigRunsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := FromPolicy(constPolicy{})
+	ctrl := constCtrl{}
 	if _, err := r.Run(ctrl); err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +166,48 @@ func TestRigRunsOnce(t *testing.T) {
 	}
 }
 
-// constPolicy always asks for the lowest level.
-type constPolicy struct{}
+// constCtrl always asks for the lowest level.
+type constCtrl struct{}
 
-func (constPolicy) Name() string { return "const" }
-func (constPolicy) Next(sensedC []float64, current []int) []int {
-	return make([]int, len(current))
+func (constCtrl) Name() string                     { return "const" }
+func (constCtrl) Decide(float64, []float64, []int) {}
+func (constCtrl) Want(_ float64, out []int)        { clear(out) }
+
+// Readings round to the nearest QuantStepK multiple; read noise moves
+// them off the truth but keeps them on the quantization grid.
+func TestSensorQuantizationAndNoise(t *testing.T) {
+	r, err := New(&Scenario{Seed: 1, Sensor: SensorFaults{QuantStepK: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []float64{64.9, 66.1, 37.2} {
+		r.state[i] = r.plant.Rise(c)
+	}
+	r.readSensors(0)
+	if got := r.SensedC(); got[0] != 64 || got[1] != 66 || got[2] != 38 {
+		t.Fatalf("quantization wrong: %v", got)
+	}
+
+	r, err = New(&Scenario{Seed: 1, Sensor: SensorFaults{NoiseStdK: 1, QuantStepK: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		r.state[i] = r.plant.Rise(50)
+	}
+	moved := false
+	for range 20 {
+		r.readSensors(0)
+		for _, v := range r.SensedC() {
+			if v != math.Round(v) {
+				t.Fatalf("noisy reading %v off the 1 K grid", v)
+			}
+			moved = moved || v != 50
+		}
+	}
+	if !moved {
+		t.Fatal("1 K read noise never moved a reading off the truth")
+	}
 }
 
 func TestRigRejectsInvalidScenario(t *testing.T) {
@@ -272,7 +321,7 @@ func TestStatsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := r.Run(FromPolicy(constPolicy{}))
+	rep, err := r.Run(constCtrl{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,14 +340,14 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 }
 
-// wildPolicy asks for out-of-range levels; the rig must clamp, not panic.
-type wildPolicy struct{ n int }
+// wildCtrl asks for out-of-range levels; the rig must clamp, not panic.
+type wildCtrl struct{}
 
-func (wildPolicy) Name() string { return "wild" }
-func (w wildPolicy) Next(sensedC []float64, current []int) []int {
-	out := make([]int, len(current))
+func (wildCtrl) Name() string                     { return "wild" }
+func (wildCtrl) Decide(float64, []float64, []int) {}
+func (wildCtrl) Want(_ float64, out []int) {
 	for i := range out {
-		switch (w.n + i) % 3 {
+		switch i % 3 {
 		case 0:
 			out[i] = 99 // above the top level
 		case 1:
@@ -307,7 +356,6 @@ func (w wildPolicy) Next(sensedC []float64, current []int) []int {
 			out[i] = 0
 		}
 	}
-	return out
 }
 
 func TestRigClampsWildController(t *testing.T) {
@@ -315,7 +363,7 @@ func TestRigClampsWildController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := r.Run(FromPolicy(wildPolicy{}))
+	rep, err := r.Run(wildCtrl{})
 	if err != nil {
 		t.Fatal(err)
 	}

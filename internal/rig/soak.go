@@ -51,6 +51,21 @@ func GuardFor(sc Scenario, plan *schedule.Schedule, ls *power.LevelSet) (*PlanGu
 	return NewPlanGuard(plan, ls, sc.TmaxC-0.75*sc.PlanMarginK, 1.0)
 }
 
+// StepWiseFor builds the reactive baseline a plan guard is compared
+// against: the step-wise governor tripping at Tmax with 2 K hysteresis.
+func StepWiseFor(r *Rig) *governor.StepWise {
+	return &governor.StepWise{TripC: r.sc.TmaxC, HystK: 2, Levels: r.levels.Len()}
+}
+
+// PredictiveFor builds the model-predictive baseline: the planner's
+// model, a 1 K guard, a one-step horizon, and the scenario's actuation
+// latency.
+func PredictiveFor(r *Rig) *governor.Predictive {
+	pred := governor.NewPredictive(r.planner, r.levels, r.sc.TmaxC, 1.0, r.sc.StepS)
+	pred.LatencyS = r.sc.Actuator.LatencyS
+	return pred
+}
+
 // planKey identifies scenarios that share one AO plan: everything the
 // solve depends on, nothing the fault injection touches.
 type planKey struct {
@@ -346,15 +361,8 @@ func Compare(sc *Scenario) (*CompareReport, error) {
 	}
 	build := []func(r *Rig) (Controller, error){
 		func(r *Rig) (Controller, error) { return GuardFor(r.Scenario(), plan, r.Levels()) },
-		func(r *Rig) (Controller, error) {
-			sw := &governor.StepWise{TripC: canon.TmaxC, HystK: 2, Levels: r.Levels().Len()}
-			return WithPlanWarmStart(FromPolicy(sw), plan), nil
-		},
-		func(r *Rig) (Controller, error) {
-			pred := governor.NewPredictive(r.PlannerModel(), r.Levels(), canon.TmaxC, 1.0, canon.StepS)
-			pred.LatencyS = canon.Actuator.LatencyS
-			return WithPlanWarmStart(FromPolicy(pred), plan), nil
-		},
+		func(r *Rig) (Controller, error) { return WithPlanWarmStart(StepWiseFor(r), plan), nil },
+		func(r *Rig) (Controller, error) { return WithPlanWarmStart(PredictiveFor(r), plan), nil },
 	}
 	out := &CompareReport{Scenario: &canon}
 	for _, mk := range build {

@@ -119,3 +119,63 @@ func FuzzServeRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSimulateRequest fuzzes the /v1/simulate request decoder on
+// platforms of at most four cores: arbitrary bytes must never panic,
+// every rejection must be a 4xx requestError, and every accepted request
+// whose platform builds must simulate to a reply json.Marshal accepts. A
+// reply that fails to encode would reach the client as a 200 with no
+// body, since writeJSON has sent the status by then.
+func FuzzSimulateRequest(f *testing.F) {
+	for _, v := range []string{"1.3", "0", "1e200", "11", "1e-300", "10", "0.001", "5e-324"} {
+		f.Add([]byte(simulateBody(v)))
+	}
+	seeds := []string{
+		`{"platform":{"rows":2,"cols":2,"voltages":[0.6,10]},"plan":{"version":1,"period_s":1e-6,"cores":[` +
+			strings.Repeat(`[{"Seconds":5e-7,"Voltage":10},{"Seconds":5e-7,"Voltage":0.6}],`, 3) +
+			`[{"Seconds":1e-6,"Voltage":0}]]},"periods":4,"samples_per_period":8}`,
+		`{"platform":{"rows":1,"cols":2,"stack_layers":2},"plan":{"version":1,"period_s":3600,"cores":[` +
+			strings.Repeat(`[{"Seconds":3600,"Voltage":1.3}],`, 3) + `[{"Seconds":3600,"Voltage":1.3}]]}}`,
+		`{"platform":{"rows":2,"cols":1,"core_scales":[0.5,2]},"plan":{"version":1,"period_s":0.02,"cores":[[{"Seconds":0.02,"Voltage":1}],[{"Seconds":0.02,"Voltage":1}]]},"periods":1,"samples_per_period":1}`,
+		`{"platform":{"rows":2,"cols":1},"plan":{"version":1,"period_s":0.02,"cores":[[{"Seconds":0.02,"Voltage":1}]]}}`,
+		`{"platform":{"rows":2,"cols":1},"plan":{"version":1,"period_s":0.02,"cores":[[{"Seconds":0.01,"Voltage":1}],[{"Seconds":0.02,"Voltage":1}]]}}`,
+		`{"platform":{"rows":2,"cols":1},"plan":{"version":2}}`,
+		`{"platform":{"rows":3,"cols":3},"plan":{"version":1}}`,
+		`{"platform":{"rows":2,"cols":1},"plan":{"version":1,"feasible":false}}`,
+		`{"platform":{"rows":2,"cols":1},"plan":{"version":1,"period_s":0.02,"cores":[[{"Seconds":0.02,"Voltage":1}],[{"Seconds":0.02,"Voltage":1}]]},"periods":-1}`,
+		`{"platform":{"rows":2,"cols":1}}`,
+		`{"platform":{"rows":2,"cols":1},"plan":null}`,
+		`{"plan":{}} trailing`,
+		`null`,
+		``,
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+
+	lim := serveLimits{maxCores: 4, maxVoltages: 64}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, plan, periods, samples, _, err := parseSimulateRequest(data, lim)
+		if err != nil {
+			var reqErr *requestError
+			if !errors.As(err, &reqErr) {
+				t.Fatalf("rejection is not a requestError: %T %v", err, err)
+			}
+			if reqErr.status < 400 || reqErr.status > 499 {
+				t.Fatalf("rejection status %d is not a 4xx: %v", reqErr.status, err)
+			}
+			return
+		}
+		plat, err := spec.platform()
+		if err != nil {
+			return // the server answers 400 "building platform"
+		}
+		resp, err := simulate(plat, plan, periods, samples)
+		if err != nil {
+			t.Fatalf("accepted request did not simulate: %v\n%s", err, data)
+		}
+		if _, err := json.Marshal(resp); err != nil {
+			t.Fatalf("simulate reply does not encode: %v\n%s", err, data)
+		}
+	})
+}

@@ -95,9 +95,10 @@ type ServerConfig struct {
 	AuditEvery int
 
 	// SolveConcurrency caps solves running at once (default GOMAXPROCS);
-	// SolveQueue caps solves waiting for a slot (default 256). A request
-	// is shed with 429 + Retry-After when the queue is full or the
-	// estimated wait for a slot exceeds its own deadline.
+	// SolveQueue caps solves waiting for a slot (default 256). A
+	// simulation takes a slot like a solve. A request is shed with 429 +
+	// Retry-After when the queue is full or the estimated wait for a slot
+	// exceeds its own deadline.
 	SolveConcurrency int
 	SolveQueue       int
 
@@ -545,24 +546,45 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequestf("building platform: %v", err))
 		return
 	}
-	trace, err := plat.Trace(plan, periods, samples)
-	if err != nil {
-		writeError(w, badRequestf("simulating plan: %v", err))
+	// A long trace costs as much CPU as a solve, so a simulation takes a
+	// solve slot too. It cannot be cancelled once running; the deadline
+	// only bounds its wait for the slot.
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
+	defer cancel()
+	if err := s.admit.acquire(ctx); err != nil {
+		s.stats.shed()
+		writeError(w, err)
 		return
 	}
-	peak, err := plat.VerifyPeakC(plan, 32)
+	simStart := time.Now()
+	defer func() { s.admit.release(time.Since(simStart)) }()
+	resp, err := simulate(plat, plan, periods, samples)
 	if err != nil {
-		writeError(w, badRequestf("verifying plan: %v", err))
+		writeError(w, err)
 		return
 	}
 	failed = false
-	writeJSON(w, http.StatusOK, SimulateResponse{
+	resp.ElapsedS = time.Since(start).Seconds()
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// simulate traces the plan on plat from ambient and verifies its stable
+// peak: the body of a /v1/simulate reply, less its timing.
+func simulate(plat *Platform, plan *Plan, periods, samples int) (SimulateResponse, error) {
+	trace, err := plat.Trace(plan, periods, samples)
+	if err != nil {
+		return SimulateResponse{}, badRequestf("simulating plan: %v", err)
+	}
+	peak, err := plat.VerifyPeakC(plan, 32)
+	if err != nil {
+		return SimulateResponse{}, badRequestf("verifying plan: %v", err)
+	}
+	return SimulateResponse{
 		TimeS:         trace.TimeS,
 		CoreTempC:     trace.CoreTempC,
 		MaxC:          trace.MaxC(),
 		VerifiedPeakC: peak,
-		ElapsedS:      time.Since(start).Seconds(),
-	})
+	}, nil
 }
 
 // runAudit re-checks one served plan with the independent oracle and

@@ -231,6 +231,24 @@ func TestServeSimulate(t *testing.T) {
 	if status != 400 {
 		t.Fatalf("oversized simulate: status %d: %s", status, b)
 	}
+	// A slice voltage is 0 (off) or inside the platform range [0.001,
+	// 10] V. At 1e200 V the trace overflows JSON, and 1e-300 V is no
+	// voltage a core runs at.
+	for _, tc := range []struct {
+		volt   string
+		status int
+	}{{"1.3", 200}, {"0", 200}, {"1e200", 400}, {"11", 400}, {"1e-300", 400}} {
+		if status, b := postJSON(t, ts.URL+"/v1/simulate", simulateBody(tc.volt)); status != tc.status {
+			t.Fatalf("slice voltage %s: status %d, want %d: %s", tc.volt, status, tc.status, b)
+		}
+	}
+}
+
+// simulateBody is a /v1/simulate request for a 2×1, two-level platform
+// whose plan runs core 0 at the given voltage and core 1 at 0.6 V.
+func simulateBody(volt string) string {
+	return fmt.Sprintf(`{"platform":{"rows":2,"cols":1,"paper_levels":2},"plan":{"version":1,"method":"AO","feasible":true,"m":1,"period_s":0.02,`+
+		`"cores":[[{"Seconds":0.02,"Voltage":%s}],[{"Seconds":0.02,"Voltage":0.6}]]}}`, volt)
 }
 
 func TestServeHealthzAndStats(t *testing.T) {

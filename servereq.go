@@ -182,10 +182,7 @@ func normalizePlatform(spec PlatformSpec, lim serveLimits) (PlatformSpec, error)
 			return c, badRequestf("platform: %d voltage levels exceeds the cap of %d", len(c.Voltages), lim.maxVoltages)
 		}
 		for _, v := range c.Voltages {
-			// The 1 mV floor keeps subnormal/denormal voltages out of the
-			// power model, where they would starve every downstream
-			// quantity of float precision.
-			if !finite(v) || v < 1e-3 || v > 10 {
+			if !validVoltage(v) {
 				return c, badRequestf("platform: voltage %v outside [0.001, 10] V", v)
 			}
 		}
@@ -350,9 +347,16 @@ func parseMaximizeRequest(body []byte, lim serveLimits) (req MaximizeRequest, pl
 	return req, planKey, platKey, nil
 }
 
+// validVoltage reports whether v is a usable DVFS voltage. The 1 mV floor
+// keeps subnormal voltages out of the power model, where they would starve
+// every downstream quantity of float precision; the 10 V ceiling keeps the
+// cubic dynamic power, and the temperatures it drives, finite.
+func validVoltage(v float64) bool { return finite(v) && v >= 1e-3 && v <= 10 }
+
 // parseSimulateRequest decodes and validates a /v1/simulate body. The
 // plan itself is validated by Plan.UnmarshalJSON (structural invariants:
-// finite slice lengths/voltages, slices summing to the period).
+// finite slice lengths/voltages, slices summing to the period); its slice
+// voltages must also be 0 or platform-plausible.
 func parseSimulateRequest(body []byte, lim serveLimits) (spec PlatformSpec, plan *Plan, periods, samples int, platKey string, err error) {
 	var req SimulateRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -380,6 +384,13 @@ func parseSimulateRequest(body []byte, lim serveLimits) (spec PlatformSpec, plan
 	if len(plan.Cores) != spec.Rows*spec.Cols*spec.StackLayers {
 		return spec, nil, 0, 0, "", badRequestf("plan has %d cores, platform %d",
 			len(plan.Cores), spec.Rows*spec.Cols*spec.StackLayers)
+	}
+	for i, slices := range plan.Cores {
+		for _, sl := range slices {
+			if sl.Voltage != 0 && !validVoltage(sl.Voltage) {
+				return spec, nil, 0, 0, "", badRequestf("plan core %d: slice voltage %v is neither 0 (off) nor inside [0.001, 10] V", i, sl.Voltage)
+			}
+		}
 	}
 	periods, samples = req.Periods, req.SamplesPerPeriod
 	if periods == 0 {

@@ -188,11 +188,14 @@ func TestServeShedsUnderSaturation(t *testing.T) {
 	release := make(chan struct{})
 	var releaseOnce sync.Once
 	unblock := func() { releaseOnce.Do(func() { close(release) }) }
-	t.Cleanup(unblock) // a Fatalf before the explicit unblock must not wedge ts.Close
 	srv := NewServer(ServerConfig{SolveConcurrency: 1, SolveQueue: 1})
 	srv.solveHook = func(Method) { <-release }
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
+	// Cleanups run last-in first-out: unblocking after ts.Close is
+	// registered lets a Fatalf before the explicit unblock release the
+	// held solves before ts.Close waits for them.
+	t.Cleanup(unblock)
 
 	statuses := make(chan int, 2)
 	// Distinct tmax values keep the three requests off each other's
@@ -219,26 +222,33 @@ func TestServeShedsUnderSaturation(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	resp, err := http.Post(ts.URL+"/v1/maximize", "application/json", strings.NewReader(resilienceBody(62)))
-	if err != nil {
-		t.Fatal(err)
+	// A simulation takes a solve slot too, so it sheds like a solve.
+	for _, req := range []struct{ path, body string }{
+		{"/v1/maximize", resilienceBody(62)},
+		{"/v1/simulate", simulateBody("1.3")},
+	} {
+		resp, err := http.Post(ts.URL+req.path, "application/json", strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("saturated %s: status %d, want 429", req.path, resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s shed reply carries no Retry-After", req.path)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if er.Code != "shed" || er.RetryAfterS < 1 {
+			t.Fatalf("%s shed reply: %+v", req.path, er)
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated request: status %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("shed reply carries no Retry-After")
-	}
-	var er errorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-		t.Fatal(err)
-	}
-	if er.Code != "shed" || er.RetryAfterS < 1 {
-		t.Fatalf("shed reply: %+v", er)
-	}
-	if st := srv.Stats(); st.Resilience.ShedTotal < 1 {
-		t.Fatalf("shed not counted: %+v", st.Resilience)
+	if st := srv.Stats(); st.Resilience.ShedTotal < 2 {
+		t.Fatalf("sheds not counted: %+v", st.Resilience)
 	}
 
 	unblock()
