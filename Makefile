@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzPlanStoreSync -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzFileStoreRecover -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/floorplan -run '^$$' -fuzz FuzzGenSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/solver -run '^$$' -fuzz FuzzEXSLP -fuzztime $(FUZZTIME)
 
 # Quick CI smoke pass over the same fuzz targets.
 fuzz-smoke:

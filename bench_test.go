@@ -148,6 +148,31 @@ func BenchmarkEXSWide9x5(b *testing.B) {
 	}
 }
 
+// BenchmarkEXSBigLittle16 is one sequential EXS search on
+// biglittle-4x4-s1 (PaperLevels 3, 61.6 °C), the heterogeneous die where
+// the LP's dual prices prune deepest; nodes/op is its deterministic work.
+func BenchmarkEXSBigLittle16(b *testing.B) {
+	md, err := thermal.BuildGen(floorplan.BigLittle(4, 4, 0.25, 1), power.DefaultModel())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ls, err := power.PaperLevels(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := solver.Problem{Model: md, Levels: ls, TmaxC: 61.6, Overhead: power.DefaultOverhead(), Workers: 1}
+	var nodes int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := solver.EXS(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes = res.Evals
+	}
+	b.ReportMetric(float64(nodes), "nodes/op")
+}
+
 func BenchmarkIdealVoltages9(b *testing.B) {
 	md, err := thermal.Default(3, 3)
 	if err != nil {

@@ -83,6 +83,7 @@ var rows = []struct{ name, bench string }{
 	{"peak_eval_sparse_256", "BenchmarkPeakEvalSparse"},
 	{"serve_burst", "BenchmarkServeBurst"},
 	{"ao_search_256", "BenchmarkAOSearch256"},
+	{"exs_biglittle16", "BenchmarkEXSBigLittle16"},
 }
 
 // crossoverBench is the dense-vs-sparse sweep; its results are named

@@ -150,6 +150,7 @@ BenchmarkPeakEval/composed{P}            	  260540	      4572 ns/op	       0 B/o
 BenchmarkPeakEvalSparse{P}               	     200	   6083683 ns/op	  337472 B/op	     131 allocs/op
 BenchmarkServeBurst{P}                   	      22	  54512724 ns/op	 1236683 B/op	    9169 allocs/op
 BenchmarkAOSearch256{P}                  	       2	 936462124 ns/op	12262892 B/op	   10726 allocs/op
+BenchmarkEXSBigLittle16{P}               	      28	  43863975 ns/op	    619497 nodes/op	   52563 B/op	     108 allocs/op
 BenchmarkCrossover/mesh-4x4/dense/build{P} 	     891	   1342352 ns/op	        33.00 nodes	  901240 B/op	     412 allocs/op
 BenchmarkCrossover/mesh-4x4/dense/eval{P}  	   37520	     31981 ns/op	    5376 B/op	      46 allocs/op
 BenchmarkCrossover/mesh-4x4/sparse/build{P}	   27841	     43036 ns/op	        33.00 nodes	   61504 B/op	     203 allocs/op
@@ -169,6 +170,7 @@ func TestParseBench(t *testing.T) {
 		{Name: "peak_eval_sparse_256", N: 200, NsPerOp: 6083683, AllocsPerOp: 131, BytesPerOp: 337472},
 		{Name: "serve_burst", N: 22, NsPerOp: 54512724, AllocsPerOp: 9169, BytesPerOp: 1236683},
 		{Name: "ao_search_256", N: 2, NsPerOp: 936462124, AllocsPerOp: 10726, BytesPerOp: 12262892},
+		{Name: "exs_biglittle16", N: 28, NsPerOp: 43863975, AllocsPerOp: 108, BytesPerOp: 52563},
 	}
 	wantCross := []CrossoverEntry{{
 		Name: "mesh-4x4", Dim: 33,

@@ -134,7 +134,7 @@ func TestAOScheduleDeterminism(t *testing.T) {
 // 2x1, 3x1, 3x2 and 3x3 × 2–3 paper levels × Tmax 55/60/65/70 °C × AO/PCO
 // × the arena and classic evaluators, then AO on the generated mesh-8x8
 // (sparse backend, scale policy active) at 60 and 70 °C.
-func aopcoGrid(t *testing.T, workers int, visit func(*Result)) {
+func aopcoGrid(t *testing.T, workers int, visit func(Problem, *Result)) {
 	t.Helper()
 	solve := func(f func(Problem, newEvalFunc) (*Result, error), p Problem, newEval newEvalFunc) {
 		t.Helper()
@@ -143,7 +143,7 @@ func aopcoGrid(t *testing.T, workers int, visit func(*Result)) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		visit(res)
+		visit(p, res)
 	}
 	for _, mesh := range [][2]int{{2, 1}, {3, 1}, {3, 2}, {3, 3}} {
 		for levels := 2; levels <= 3; levels++ {
@@ -173,19 +173,21 @@ func aopcoGrid(t *testing.T, workers int, visit func(*Result)) {
 	}
 }
 
-// The digest and total Evals (at one worker) of aopcoGrid, pinned before
-// the evaluator was chosen once per solve: a sha256 over each result's
-// per-core segments, the bits of its throughput and peak, its m, its
-// feasibility and its degraded reason, in grid order. The Evals total
-// is one per PCO solve (64 of them) below that pin: PCO no longer
-// evaluates the aligned cycle before its phase search.
+// The digest and total Evals (at one worker) of aopcoGrid: a sha256 over
+// each result's per-core segments, the bits of its throughput and peak,
+// its m, its feasibility and its degraded reason, in grid order. The
+// digest was pinned before the evaluator was chosen once per solve. The
+// Evals total counts the EXS seed's nodes (runAO adds them to AO's), so
+// it is the one the dual-price prune reads; without the prune it was
+// 434,960 for the same digest.
 const (
 	aopcoGridDigest = "59704bb3f78ba1fd93fefee6f6ed8e4dc7b347bd0c2a71872695dd8828de3611"
-	aopcoGridEvals  = 434960
+	aopcoGridEvals  = 273536
 )
 
 // AO and PCO must return the pinned plans on both evaluators and at every
 // worker width, and one worker must spend exactly the pinned evaluations.
+// Every feasible plan sits under the LP bound.
 func TestAOPCOReproducesPinnedDigest(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		h := sha256.New()
@@ -195,7 +197,12 @@ func TestAOPCOReproducesPinnedDigest(t *testing.T) {
 			binary.LittleEndian.PutUint64(bits[:], v)
 			h.Write(bits[:])
 		}
-		aopcoGrid(t, workers, func(res *Result) {
+		aopcoGrid(t, workers, func(p Problem, res *Result) {
+			if workers == 1 {
+				if err := checkLPBound(p, res); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for i := 0; i < res.Schedule.NumCores(); i++ {
 				for _, seg := range res.Schedule.CoreSegments(i) {
 					put(math.Float64bits(seg.Length))

@@ -91,8 +91,13 @@ func EXSNaive(p Problem) (*Result, error) {
 
 // EXS is the branch-and-bound variant of Algorithm 1: identical optimum
 // to EXSNaive, but prunes subtrees whose best-case completion is already
-// infeasible or cannot beat the incumbent. It is the default EXS used by
-// the comparison experiments; EXPERIMENTS.md reports both running times.
+// infeasible or cannot beat the incumbent. A completion's speed is bounded
+// twice: with every remaining core at the top level, and by the Lagrangian
+// bound that prices temperature with the duals of the execution-fraction
+// LP relaxation (exsRelaxation, docs/THEORY.md §6). The second bound holds
+// for any nonnegative prices, so the LP decides how much it prunes, never
+// what EXS returns. It is the default EXS used by the comparison
+// experiments; EXPERIMENTS.md reports both running times.
 //
 // The top-level branches (core 0's candidate modes) form a work queue for
 // p.workers() goroutines that share the incumbent bound, and the merge
@@ -136,12 +141,49 @@ func EXS(p Problem) (*Result, error) {
 		maxSpeedSuffix[j] = maxSpeedSuffix[j+1] + volts[len(volts)-1]
 	}
 
-	// The root node: even the coldest assignment overheats.
+	// The root node: even the coldest assignment overheats. minSuffix sums
+	// a completion from the last core back, while the path to its leaf
+	// sums from core 0, so an interior test allows sumSlack of rounding:
+	// only the leaf, which compares its own sums, is held to the limit
+	// exactly.
+	const sumSlack = 1e-9 // K
+	limit := tmax + feasTol
 	totalEvals := int64(1)
 	for i := 0; i < n; i++ {
-		if minSuffix[0][i] > tmax+feasTol {
+		if minSuffix[0][i] > limit+sumSlack {
 			return exsResult(p, "EXS", nil, math.Inf(-1), totalEvals, start)
 		}
+	}
+
+	// The dual bound (docs/THEORY.md §6). For temperature prices y ≥ 0, a
+	// feasible leaf below a node at depth j, whose assigned cores heat the
+	// cores by temps, has speed sum at most
+	//
+	//	speedSum + y·(T − temps) + Σ_{j'≥j} max_k (v_k − ψ_k·g_j'),
+	//
+	// g_j' = Σ_i y_i·hcc[j'][i], because its temperatures are ≤ T and each
+	// remaining core picks one level. ydot = y·temps rides down the tree,
+	// so the test costs O(1) per node. The bound holds for any y ≥ 0; the
+	// LP relaxation's duals make it tight, and y = 0 reduces it to
+	// maxSpeedSuffix. dualMargin absorbs its rounding, so a pruned subtree
+	// holds no leaf that beats the incumbent.
+	const dualMargin = 1e-7
+	y := exsDuals(hcc, volts, psi, limit, p.ctxErr)
+	var yT float64
+	for _, yi := range y {
+		yT += yi * limit
+	}
+	g := make([]float64, n)
+	dualSuffix := make([]float64, n+1)
+	for j := n - 1; j >= 0; j-- {
+		for i, yi := range y {
+			g[j] += yi * hcc[j][i]
+		}
+		best := math.Inf(-1)
+		for k, v := range volts {
+			best = max(best, v-psi[k]*g[j])
+		}
+		dualSuffix[j] = dualSuffix[j+1] + best
 	}
 
 	// Shared incumbent value, which later subtrees prune against, the
@@ -185,8 +227,8 @@ func EXS(p Problem) (*Result, error) {
 			scratch[d] = scratchBuf[d*n : (d+1)*n : (d+1)*n]
 		}
 
-		var dfs func(j int, temps []float64, speedSum float64)
-		dfs = func(j int, temps []float64, speedSum float64) {
+		var dfs func(j int, temps []float64, speedSum, ydot float64)
+		dfs = func(j int, temps []float64, speedSum, ydot float64) {
 			evals++
 			// Poll the context every 64 evals (a node costs O(n) flops, so
 			// 64 of them is well under one schedule evaluation): a cancel
@@ -199,9 +241,16 @@ func EXS(p Problem) (*Result, error) {
 			if speedSum+maxSpeedSuffix[j] <= bound {
 				return // cannot beat the incumbent
 			}
+			if speedSum+yT-ydot+dualSuffix[j]+dualMargin <= bound {
+				return // nor can it once temperature is priced in
+			}
 			// Feasibility bound: even the coldest completion overheats.
+			lim := limit + sumSlack
+			if j == n {
+				lim = limit
+			}
 			for i := 0; i < n; i++ {
-				if temps[i]+minSuffix[j][i] > tmax+feasTol {
+				if temps[i]+minSuffix[j][i] > lim {
 					return
 				}
 			}
@@ -225,7 +274,7 @@ func EXS(p Problem) (*Result, error) {
 				idx[j] = k
 				copy(child, temps)
 				mat.VecAXPY(child, psi[k], hcc[j])
-				dfs(j+1, child, speedSum+volts[k])
+				dfs(j+1, child, speedSum+volts[k], ydot+psi[k]*g[j])
 			}
 		}
 
@@ -243,7 +292,7 @@ func EXS(p Problem) (*Result, error) {
 			for i := range temps0 {
 				temps0[i] = psi[k0] * hcc[0][i]
 			}
-			dfs(1, temps0, volts[k0])
+			dfs(1, temps0, volts[k0], psi[k0]*g[0])
 
 			if localIdx != nil {
 				mu.Lock()

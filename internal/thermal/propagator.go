@@ -32,9 +32,13 @@ import (
 // composed peak path (sim.EvalArena.ComposedEndPeak) folds a whole cycle
 // that way.
 //
-// Both caches grow without eviction; they are bounded in practice by the
-// TPT adjustment grid (a few thousand distinct lengths and mode vectors
-// per solver run) and each entry is one dim-length vector.
+// Each map holds at most propagatorCap entries: one that is full is
+// cleared before its next insert. A server keeps one propagator per
+// platform for the life of the process, and every distinct threshold it
+// solves adds lengths and mode vectors, so an unbounded map would grow
+// with traffic. A value handed out before a clear stays valid (entries
+// are never written after insert), and a miss after it recomputes the
+// same bits, so the bound never perturbs a plan.
 type Propagator struct {
 	md *Model
 
@@ -46,6 +50,13 @@ type Propagator struct {
 	steadyHits, steadyMisses atomic.Int64
 	expHits, expMisses       atomic.Int64
 }
+
+// propagatorCap bounds each of a Propagator's maps; an entry is one
+// dim-length vector. A cold AO or PCO solve on a 9–18-core platform
+// inserts at most a few hundred mode vectors and about 4,100–4,400
+// interval lengths, so the length map may clear once within one solve; a
+// miss costs one O(dim) ExpLambda.
+const propagatorCap = 4096
 
 // PropagatorStats is a snapshot of the cache-hit accounting.
 type PropagatorStats struct {
@@ -147,6 +158,9 @@ func (p *Propagator) SteadyState(modes []power.Mode) []float64 {
 	if prev, ok := p.tinf[string(key)]; ok {
 		tinf = prev // a concurrent miss computed the same bits; share one
 	} else {
+		if len(p.tinf) >= propagatorCap {
+			clear(p.tinf)
+		}
 		p.tinf[string(key)] = tinf
 	}
 	p.mu.Unlock()
@@ -172,6 +186,9 @@ func (p *Propagator) SteadyEigen(modes []power.Mode) []float64 {
 	if prev, ok := p.teig[string(key)]; ok {
 		w = prev
 	} else {
+		if len(p.teig) >= propagatorCap {
+			clear(p.teig)
+		}
 		p.teig[string(key)] = w
 	}
 	p.mu.Unlock()
@@ -199,6 +216,9 @@ func (p *Propagator) ExpFactors(dt float64) []float64 {
 	if prev, ok := p.exps[dt]; ok {
 		expL = prev
 	} else {
+		if len(p.exps) >= propagatorCap {
+			clear(p.exps)
+		}
 		p.exps[dt] = expL
 	}
 	p.mu.Unlock()

@@ -133,3 +133,53 @@ func TestPropagatorConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// Each of the propagator's maps holds at most propagatorCap entries
+// however many distinct keys arrive, and a value recomputed after a map
+// was cleared has the bits a fresh computation gives.
+func TestPropagatorCacheBounded(t *testing.T) {
+	md := testModel(t, 3, 2)
+	prop := NewPropagator(md)
+	sizes := func() (int, int, int) {
+		prop.mu.RLock()
+		defer prop.mu.RUnlock()
+		return len(prop.tinf), len(prop.teig), len(prop.exps)
+	}
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	dt := func(q int) float64 { return 1e-4 * float64(q+1) }
+	for q := 0; q < 10000; q++ {
+		same("exp", prop.ExpFactors(dt(q)), md.Eigen().ExpLambda(dt(q)))
+		if _, _, ne := sizes(); ne > propagatorCap {
+			t.Fatalf("after %d lengths the exp map holds %d entries", q+1, ne)
+		}
+	}
+	modes := func(q int) []power.Mode {
+		m := uniformModes(md.NumCores(), 0.6)
+		m[q%len(m)] = power.NewMode(0.6 + 1e-4*float64(q))
+		return m
+	}
+	for q := 0; q < 5000; q++ {
+		want := md.SteadyState(modes(q))
+		same("T∞", prop.SteadyState(modes(q)), want)
+		same("W⁻¹T∞", prop.SteadyEigen(modes(q)), md.Eigen().Winv.MulVec(want))
+		if nt, ng, _ := sizes(); nt > propagatorCap || ng > propagatorCap {
+			t.Fatalf("after %d mode vectors the maps hold %d and %d entries", q+1, nt, ng)
+		}
+	}
+	// The early keys were cleared: a second lookup recomputes them.
+	before := prop.Stats()
+	same("exp", prop.ExpFactors(dt(0)), md.Eigen().ExpLambda(dt(0)))
+	same("T∞", prop.SteadyState(modes(0)), md.SteadyState(modes(0)))
+	after := prop.Stats()
+	if after.ExpMisses != before.ExpMisses+1 || after.SteadyMisses != before.SteadyMisses+1 {
+		t.Fatalf("cleared keys hit: exp misses %d → %d, steady misses %d → %d",
+			before.ExpMisses, after.ExpMisses, before.SteadyMisses, after.SteadyMisses)
+	}
+}
