@@ -55,11 +55,9 @@ bench-json:
 	$(GO) run ./cmd/thermosc-bench -out BENCH_ao.ci.json -baseline BENCH_ao.json \
 		-min-par-speedup $(MIN_PAR_SPEEDUP) -compare-out bench_compare.md
 
-# Regenerate every paper table/figure (text). Above one worker, EXS's
-# branch-and-bound node count, and AO's evaluation count that includes
-# it, depend on scheduling; GOMAXPROCS=1 makes Table V's counts replay.
+# Regenerate every paper table/figure (text).
 experiments:
-	GOMAXPROCS=1 $(GO) run ./cmd/thermosc-experiments | tee docs/experiments_full_output.txt
+	$(GO) run ./cmd/thermosc-experiments | tee docs/experiments_full_output.txt
 
 # Short fuzzing passes over the parsers and transforms. -run '^$' keeps
 # each step from rerunning its package's unit suite (the test job runs

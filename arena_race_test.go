@@ -3,6 +3,7 @@ package thermosc
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -11,8 +12,10 @@ import (
 // share or leak per-solve arena memory: every solve must return exactly
 // the plan a lone solve returns, with the race detector watching the
 // pooled-arena acquire/poison/release traffic (this test is part of the
-// CI -race job).
+// CI -race job). GOMAXPROCS 2 makes each solve fan its candidate scans
+// out over two workers on any host.
 func TestConcurrentMaximizeArenaIsolation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	p, err := New(3, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +40,7 @@ func TestConcurrentMaximizeArenaIsolation(t *testing.T) {
 			defer wg.Done()
 			m := methods[g%len(methods)]
 			for iter := 0; iter < 2; iter++ {
-				plan, err := p.MaximizeContext(context.Background(), m, tmaxC, 2)
+				plan, err := p.MaximizeContext(context.Background(), m, tmaxC)
 				if err != nil {
 					t.Errorf("goroutine %d %s: %v", g, m, err)
 					return

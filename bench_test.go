@@ -114,7 +114,6 @@ func BenchmarkPCO3x1(b *testing.B) {
 
 func BenchmarkEXSPruned9x5(b *testing.B) {
 	p := benchProblem(b, 3, 3, 5, 65)
-	p.Workers = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := solver.EXS(p); err != nil {
@@ -136,19 +135,7 @@ func BenchmarkEXSNaive9x5(b *testing.B) {
 	}
 }
 
-// BenchmarkEXSWide9x5 is BenchmarkEXSPruned9x5 with the core-0 subtrees
-// fanned out across GOMAXPROCS workers.
-func BenchmarkEXSWide9x5(b *testing.B) {
-	p := benchProblem(b, 3, 3, 5, 65)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := solver.EXS(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEXSBigLittle16 is one sequential EXS search on
+// BenchmarkEXSBigLittle16 is one EXS search on
 // biglittle-4x4-s1 (PaperLevels 3, 61.6 °C), the heterogeneous die where
 // the LP's dual prices prune deepest; nodes/op is its deterministic work.
 func BenchmarkEXSBigLittle16(b *testing.B) {
@@ -160,7 +147,7 @@ func BenchmarkEXSBigLittle16(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := solver.Problem{Model: md, Levels: ls, TmaxC: 61.6, Overhead: power.DefaultOverhead(), Workers: 1}
+	p := solver.Problem{Model: md, Levels: ls, TmaxC: 61.6, Overhead: power.DefaultOverhead()}
 	var nodes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	thermosc-rig run     [-scenario file.json] [-seed N] [-controller guard|stepwise|predictive]
-//	thermosc-rig soak    [-n 20] [-seed 1] [-workers 0] [-scenario base.json] [-plan-budget 0]
+//	thermosc-rig soak    [-n 20] [-seed 1] [-scenario base.json] [-plan-budget 0]
 //	thermosc-rig compare [-scenario file.json] [-seed N]
 //
 // Every subcommand prints a JSON report to stdout (see docs/RIG.md for
@@ -136,7 +136,6 @@ func cmdSoak(args []string) error {
 	scPath := fs.String("scenario", "", "base scenario JSON template (default: built-in defaults)")
 	n := fs.Int("n", 20, "number of randomized fault scenarios")
 	seed := fs.Int64("seed", 1, "soak derivation seed")
-	workers := fs.Int("workers", 0, "parallel scenario workers (0 = GOMAXPROCS)")
 	planBudget := fs.Duration("plan-budget", 0,
 		"starve the planner: swap to a replan solved under this wall-clock budget at the horizon midpoint (0 = full planning)")
 	fs.Parse(args)
@@ -152,9 +151,9 @@ func cmdSoak(args []string) error {
 	var rep *rig.SoakReport
 	var err error
 	if *planBudget > 0 {
-		rep, err = rig.SoakStarved(base, *n, *seed, *workers, *planBudget)
+		rep, err = rig.SoakStarved(base, *n, *seed, *planBudget)
 	} else {
-		rep, err = rig.Soak(base, *n, *seed, *workers)
+		rep, err = rig.Soak(base, *n, *seed)
 	}
 	if err != nil {
 		return err

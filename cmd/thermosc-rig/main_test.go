@@ -117,7 +117,7 @@ func TestCmdSoakPassesAndIsDeterministic(t *testing.T) {
 	path := writeScenario(t, base)
 	run := func() rig.SoakReport {
 		out, err := capture(t, func() error {
-			return cmdSoak([]string{"-scenario", path, "-n", "3", "-seed", "5", "-workers", "2"})
+			return cmdSoak([]string{"-scenario", path, "-n", "3", "-seed", "5"})
 		})
 		if err != nil {
 			t.Fatal(err)

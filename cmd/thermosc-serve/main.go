@@ -39,7 +39,6 @@ func main() {
 		maxCores      = flag.Int("max-cores", 256, "largest platform (total cores) accepted")
 		timeout       = flag.Duration("timeout", 30*time.Second, "default per-request solve timeout")
 		maxTimeout    = flag.Duration("max-timeout", 2*time.Minute, "cap on client-requested timeouts")
-		workers       = flag.Int("workers", 0, "solver fan-out width (0 = GOMAXPROCS)")
 		grace         = flag.Duration("grace", 30*time.Second, "shutdown drain grace period")
 		auditEvery    = flag.Int("audit-every", 0, "audit every Nth cold solve with the verification oracle (0 disables)")
 		solveConc     = flag.Int("solve-concurrency", 0, "concurrent solve slots (0 = GOMAXPROCS)")
@@ -88,7 +87,6 @@ func main() {
 		MaxCores:          *maxCores,
 		DefaultTimeout:    *timeout,
 		MaxTimeout:        *maxTimeout,
-		Workers:           *workers,
 		AuditEvery:        *auditEvery,
 		SolveConcurrency:  *solveConc,
 		SolveQueue:        *solveQueue,

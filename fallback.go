@@ -80,8 +80,8 @@ func (p *Platform) SafeFloorPlan(tmaxC float64) (*Plan, error) {
 //
 // Any non-deadline solver error propagates unchanged — the chain absorbs
 // overload and truncation, not bugs.
-func (p *Platform) MaximizeResilient(ctx context.Context, m Method, tmaxC float64, workers int) (*Plan, error) {
-	plan, err := p.MaximizeContext(ctx, m, tmaxC, workers)
+func (p *Platform) MaximizeResilient(ctx context.Context, m Method, tmaxC float64) (*Plan, error) {
+	plan, err := p.MaximizeContext(ctx, m, tmaxC)
 	switch {
 	case err == nil && !plan.Degraded:
 		if plan.Feasible && plan.Throughput <= 0 {

@@ -38,11 +38,11 @@ func TestMaximizeResilientCompletePassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := plat.MaximizeContext(context.Background(), MethodAO, 65, 0)
+	direct, err := plat.MaximizeContext(context.Background(), MethodAO, 65)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resilient, err := plat.MaximizeResilient(context.Background(), MethodAO, 65, 0)
+	resilient, err := plat.MaximizeResilient(context.Background(), MethodAO, 65)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestMaximizeResilientDeadlineFallsBack(t *testing.T) {
 	tiny, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel2()
 	for name, ctx := range map[string]context.Context{"expired": expired, "tiny": tiny} {
-		plan, err := plat.MaximizeResilient(ctx, MethodPCO, 65, 0)
+		plan, err := plat.MaximizeResilient(ctx, MethodPCO, 65)
 		if err != nil {
 			t.Fatalf("%s deadline: chain refused: %v", name, err)
 		}
@@ -96,7 +96,7 @@ func TestMaximizeResilientInfeasibleRefusal(t *testing.T) {
 	}
 	tmax := plat.AmbientC() + 0.01 // no mode can stay this cool
 	for _, m := range []Method{MethodLNS, MethodAO} {
-		plan, err := plat.MaximizeResilient(context.Background(), m, tmax, 0)
+		plan, err := plat.MaximizeResilient(context.Background(), m, tmax)
 		if err == nil {
 			t.Fatalf("%s: impossible threshold produced a plan (tpt %v)", m, plan.Throughput)
 		}

@@ -62,11 +62,7 @@ func TableV(w io.Writer, cfg Config) error {
 			if err != nil {
 				return err
 			}
-			// One worker: the pruned search's node count is reproducible
-			// only on the sequential path.
-			pe := p
-			pe.Workers = 1
-			exs, err := solver.EXS(pe)
+			exs, err := solver.EXS(p)
 			if err != nil {
 				return err
 			}

@@ -52,11 +52,11 @@ func TestRigParallelRunsDeterministic(t *testing.T) {
 // The soak worker pool itself must be race-free and order-stable.
 func TestSoakParallelWorkers(t *testing.T) {
 	base := &Scenario{HorizonS: 1}
-	one, err := Soak(base, 6, 5, 1)
+	one, err := soak(base, 6, 5, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Soak(base, 6, 5, 6)
+	many, err := soak(base, 6, 5, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -259,7 +259,7 @@ func TestRandomScenariosPinned(t *testing.T) {
 // A small soak end to end: pass, deterministic, outcomes in index order.
 func TestSoakSmall(t *testing.T) {
 	base := &Scenario{HorizonS: 2}
-	rep, err := Soak(base, 4, 1, 2)
+	rep, err := soak(base, 4, 1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestSoakSmall(t *testing.T) {
 			t.Fatalf("scenario %d nondeterministic", i)
 		}
 	}
-	if _, err := Soak(nil, 0, 1, 1); err == nil {
+	if _, err := soak(nil, 0, 1, 1, 0); err == nil {
 		t.Fatal("zero-scenario soak must error")
 	}
 }

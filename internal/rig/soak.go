@@ -198,15 +198,16 @@ type SoakReport struct {
 // under AO plans with plan-guard closed-loop correction. Every scenario
 // runs TWICE from a fresh rig; a byte-level mismatch between the two
 // trace hashes marks it non-deterministic. Pass requires zero violations
-// of Tmax + guard band and full determinism. Workers ≤ 0 uses
-// GOMAXPROCS; the outcome order is by scenario index regardless of
-// worker interleaving.
-func Soak(base *Scenario, n int, seed int64, workers int) (*SoakReport, error) {
-	return soak(base, n, seed, workers, 0)
+// of Tmax + guard band and full determinism. The scenarios run on
+// GOMAXPROCS workers; the outcome order is by scenario index regardless
+// of worker interleaving.
+func Soak(base *Scenario, n int, seed int64) (*SoakReport, error) {
+	return soak(base, n, seed, 0, 0)
 }
 
 // soak is the shared engine behind Soak (budget 0: full planning) and
-// SoakStarved (budget > 0: mid-scenario replan under that budget).
+// SoakStarved (budget > 0: mid-scenario replan under that budget), on
+// `workers` goroutines (≤ 0: GOMAXPROCS).
 func soak(base *Scenario, n int, seed int64, workers int, budget time.Duration) (*SoakReport, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("rig: soak needs at least one scenario")

@@ -93,9 +93,9 @@ func (g *starvedReplanGuard) WarmStart(plant *thermal.Model) ([]float64, error) 
 // constant safe floor when it expires before any incumbent. Pass still
 // requires zero violations of Tmax + guard band and byte-identical
 // replays: degraded planning may cost throughput, never safety.
-func SoakStarved(base *Scenario, n int, seed int64, workers int, budget time.Duration) (*SoakReport, error) {
+func SoakStarved(base *Scenario, n int, seed int64, budget time.Duration) (*SoakReport, error) {
 	if budget <= 0 {
 		return nil, fmt.Errorf("rig: starved soak needs a positive plan budget")
 	}
-	return soak(base, n, seed, workers, budget)
+	return soak(base, n, seed, 0, budget)
 }

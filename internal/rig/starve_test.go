@@ -44,7 +44,7 @@ func TestSoakStarvedHoldsGuardBand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starved soak is a multi-scenario closed-loop run")
 	}
-	rep, err := SoakStarved(nil, 4, 1, 0, time.Nanosecond)
+	rep, err := SoakStarved(nil, 4, 1, time.Nanosecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSoakStarvedHoldsGuardBand(t *testing.T) {
 	}
 
 	// The budget knob is validated.
-	if _, err := SoakStarved(nil, 1, 1, 0, 0); err == nil {
+	if _, err := SoakStarved(nil, 1, 1, 0); err == nil {
 		t.Fatal("zero budget accepted")
 	}
 }

@@ -143,7 +143,7 @@ func TestEXSDegradedIncumbent(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Problem{Model: md, Levels: power.FullRange(), TmaxC: 65,
-		Overhead: power.DefaultOverhead(), Workers: 1}
+		Overhead: power.DefaultOverhead()}
 
 	// EXS polls the context every 64 nodes; by then the high-first
 	// descent has already produced an incumbent.
@@ -181,7 +181,7 @@ func TestEXSCancelLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Problem{Model: md, Levels: power.FullRange(), TmaxC: 80,
-		Overhead: power.DefaultOverhead(), Workers: 4}
+		Overhead: power.DefaultOverhead()}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	p.Ctx = ctx
@@ -212,7 +212,7 @@ func TestEXSCancelLatency(t *testing.T) {
 			}
 		case out.res.Degraded == DegradedEXS:
 			if !out.res.Feasible || out.res.Throughput <= 0 {
-				t.Fatalf("degraded parallel incumbent unusable: %+v", out.res)
+				t.Fatalf("degraded incumbent unusable: %+v", out.res)
 			}
 		case out.res.Degraded == DegradedNone:
 			// The machine finished the search before the cancel landed —

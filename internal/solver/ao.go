@@ -336,8 +336,8 @@ func betterState(p Problem, a, b *aoState) *aoState {
 
 // exsSeedSpecs converts the optimal constant assignment into oscillation
 // specs anchored at each core's EXS level, paired with the next level up.
-// EXS fans its subtrees out across p.Workers, which keeps the seed cheap
-// on large grids, where the subtree count explodes.
+// The dual-price prune keeps the search cheap on the dense grids that
+// reach it; the sparse path skips this seed.
 func exsSeedSpecs(p Problem) ([]coreSpec, int64, bool) {
 	res, err := EXS(p)
 	if err != nil || !res.Feasible || res.Schedule == nil || res.Degraded != DegradedNone {

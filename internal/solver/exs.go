@@ -2,8 +2,6 @@ package solver
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"thermosc/internal/mat"
@@ -99,16 +97,11 @@ func EXSNaive(p Problem) (*Result, error) {
 // what EXS returns. It is the default EXS used by the comparison
 // experiments; EXPERIMENTS.md reports both running times.
 //
-// The top-level branches (core 0's candidate modes) form a work queue for
-// p.workers() goroutines that share the incumbent bound, and the merge
-// walks the subtrees in depth-first order, so every width returns the
-// same assignment — when several tie for the optimum, the one the
-// depth-first order reaches first. Workers refresh the shared bound at
-// every subtree root: a late subtree inherits the best bound found so far
-// and prunes harder than a cold search of it would. With one worker the
-// search is the plain sequential depth-first branch-and-bound, node for
-// node, so its Evals are reproducible; above one worker they depend on
-// how the subtrees interleave.
+// The search is one depth-first pass on the calling goroutine, high
+// levels first, and a leaf replaces the incumbent only when its speed sum
+// is strictly higher: when several assignments tie for the optimum, EXS
+// returns the one the depth-first order reaches first. The nodes it
+// visits, and so its Evals, depend on the problem alone.
 func EXS(p Problem) (*Result, error) {
 	p, err := p.withDefaults()
 	if err != nil {
@@ -141,19 +134,12 @@ func EXS(p Problem) (*Result, error) {
 		maxSpeedSuffix[j] = maxSpeedSuffix[j+1] + volts[len(volts)-1]
 	}
 
-	// The root node: even the coldest assignment overheats. minSuffix sums
-	// a completion from the last core back, while the path to its leaf
-	// sums from core 0, so an interior test allows sumSlack of rounding:
-	// only the leaf, which compares its own sums, is held to the limit
-	// exactly.
+	// minSuffix sums a completion from the last core back, while the path
+	// to its leaf sums from core 0, so an interior feasibility test allows
+	// sumSlack of rounding: only the leaf, which compares its own sums, is
+	// held to the limit exactly.
 	const sumSlack = 1e-9 // K
 	limit := tmax + feasTol
-	totalEvals := int64(1)
-	for i := 0; i < n; i++ {
-		if minSuffix[0][i] > limit+sumSlack {
-			return exsResult(p, "EXS", nil, math.Inf(-1), totalEvals, start)
-		}
-	}
 
 	// The dual bound (docs/THEORY.md §6). For temperature prices y ≥ 0, a
 	// feasible leaf below a node at depth j, whose assigned cores heat the
@@ -186,163 +172,85 @@ func EXS(p Problem) (*Result, error) {
 		dualSuffix[j] = dualSuffix[j+1] + best
 	}
 
-	// Shared incumbent value, which later subtrees prune against, the
-	// core-0 level of the first subtree in depth-first order known to
-	// reach it, and each subtree's own optimum, indexed by core 0's
-	// level. The merge after the search walks the subtrees high levels
-	// first, so a tie goes to the subtree the depth-first order visits
-	// first, not to whichever worker finished first.
-	var mu sync.Mutex
-	bestSum, bestFrom := math.Inf(-1), -1
-	jobSum := make([]float64, len(volts))
-	jobIdx := make([][]int, len(volts))
-	// Cooperative cancellation: any worker observing an expired context
-	// raises the flag; the others unwind their subtrees immediately.
-	var stop atomic.Bool
-
-	// Work queue: core-0 level indices, high levels first (better seeds).
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	worker := func() {
-		defer wg.Done()
-		idx := make([]int, n)
-		temps0 := make([]float64, n)
-		var evals int64
-		// bound is what a node's best completion must beat. Until the
-		// subtree has its own incumbent (localIdx) it is the shared
-		// incumbent, nudged one ulp down when that came from a subtree
-		// visited later in depth-first order: a tie found here comes
-		// first, so it must survive. After that it is the subtree's own
-		// incumbent.
-		var bound float64
-		var localIdx []int
-
-		// Depth-indexed scratch: the dfs visits one node at a time, so
-		// the child state of depth j can live in row j+1 — one allocation
-		// for the worker's whole share of the tree, not one per interior
-		// node.
-		scratchBuf := make([]float64, (n+2)*n)
-		scratch := make([][]float64, n+2)
-		for d := range scratch {
-			scratch[d] = scratchBuf[d*n : (d+1)*n : (d+1)*n]
-		}
-
-		var dfs func(j int, temps []float64, speedSum, ydot float64)
-		dfs = func(j int, temps []float64, speedSum, ydot float64) {
-			evals++
-			// Poll the context every 64 evals (a node costs O(n) flops, so
-			// 64 of them is well under one schedule evaluation): a cancel
-			// lands within one eval's worth of work, not a whole subtree
-			// later.
-			if evals&63 == 0 && p.ctxErr() != nil {
-				stop.Store(true)
-				return
-			}
-			if speedSum+maxSpeedSuffix[j] <= bound {
-				return // cannot beat the incumbent
-			}
-			if speedSum+yT-ydot+dualSuffix[j]+dualMargin <= bound {
-				return // nor can it once temperature is priced in
-			}
-			// Feasibility bound: even the coldest completion overheats.
-			lim := limit + sumSlack
-			if j == n {
-				lim = limit
-			}
-			for i := 0; i < n; i++ {
-				if temps[i]+minSuffix[j][i] > lim {
-					return
-				}
-			}
-			if j == n {
-				// At a leaf the bound check above compared the speed sum
-				// itself: the leaf beats the incumbent.
-				bound = speedSum
-				localIdx = append(localIdx[:0], idx...)
-				return
-			}
-			// Try levels from highest to lowest so good incumbents appear
-			// early and tighten the throughput bound.
-			child := scratch[j+1]
-			for k := len(volts) - 1; k >= 0; k-- {
-				// Stop check: a cancellation unwinds this level between
-				// children instead of after the whole fan-out of remaining
-				// subtrees.
-				if stop.Load() {
-					return
-				}
-				idx[j] = k
-				copy(child, temps)
-				mat.VecAXPY(child, psi[k], hcc[j])
-				dfs(j+1, child, speedSum+volts[k], ydot+psi[k]*g[j])
-			}
-		}
-
-		for k0 := range jobs {
-			// Inherit the freshest shared bound for this subtree.
-			mu.Lock()
-			bound = bestSum
-			if bestFrom < k0 {
-				bound = math.Nextafter(bound, math.Inf(-1))
-			}
-			mu.Unlock()
-			localIdx = nil
-
-			idx[0] = k0
-			for i := range temps0 {
-				temps0[i] = psi[k0] * hcc[0][i]
-			}
-			dfs(1, temps0, volts[k0], psi[k0]*g[0])
-
-			if localIdx != nil {
-				mu.Lock()
-				jobSum[k0], jobIdx[k0] = bound, localIdx
-				if bound > bestSum || bound == bestSum && k0 > bestFrom {
-					bestSum, bestFrom = bound, k0
-				}
-				mu.Unlock()
-			}
-		}
-		mu.Lock()
-		totalEvals += evals
-		mu.Unlock()
-	}
-
-	workers := min(p.workers(), len(volts))
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
-	}
-	for k := len(volts) - 1; k >= 0; k-- {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
+	idx := make([]int, n)
 	var best []int
-	bestSum = math.Inf(-1)
-	for k := len(volts) - 1; k >= 0; k-- { // depth-first order: high levels first
-		if jobIdx[k] != nil && jobSum[k] > bestSum {
-			bestSum, best = jobSum[k], jobIdx[k]
+	bestSum := math.Inf(-1)
+	var evals int64
+	stopped := false
+	// temps[j]: the temperatures the cores assigned above depth j add.
+	// The dfs visits one node at a time, so one row per depth holds the
+	// whole path.
+	tempsBuf := make([]float64, (n+1)*n)
+	temps := make([][]float64, n+1)
+	for d := range temps {
+		temps[d] = tempsBuf[d*n : (d+1)*n : (d+1)*n]
+	}
+
+	var dfs func(j int, speedSum, ydot float64)
+	dfs = func(j int, speedSum, ydot float64) {
+		evals++
+		// Poll the context every 64 nodes (a node costs O(n) flops, so
+		// 64 of them is well under one schedule evaluation): a cancel
+		// lands within one eval's worth of work, not a whole subtree
+		// later.
+		if evals&63 == 0 && p.ctxErr() != nil {
+			stopped = true
+			return
+		}
+		if speedSum+maxSpeedSuffix[j] <= bestSum {
+			return // cannot beat the incumbent
+		}
+		if speedSum+yT-ydot+dualSuffix[j]+dualMargin <= bestSum {
+			return // nor can it once temperature is priced in
+		}
+		// Feasibility bound: even the coldest completion overheats. At
+		// the root this refuses the whole tree.
+		lim := limit + sumSlack
+		if j == n {
+			lim = limit
+		}
+		for i, ti := range temps[j] {
+			if ti+minSuffix[j][i] > lim {
+				return
+			}
+		}
+		if j == n {
+			// At a leaf the bound check above compared the speed sum
+			// itself: the leaf beats the incumbent.
+			bestSum = speedSum
+			best = append(best[:0], idx...)
+			return
+		}
+		// Try levels from highest to lowest so good incumbents appear
+		// early and tighten the throughput bound. A cancellation unwinds
+		// each level between children.
+		child := temps[j+1]
+		for k := len(volts) - 1; k >= 0 && !stopped; k-- {
+			idx[j] = k
+			copy(child, temps[j])
+			mat.VecAXPY(child, psi[k], hcc[j])
+			dfs(j+1, speedSum+volts[k], ydot+psi[k]*g[j])
 		}
 	}
-	if stop.Load() {
-		// Anytime: every worker merged its incumbent before exiting, so
-		// `best` is the best fully-evaluated feasible assignment found
-		// before the deadline (pruning never admits an infeasible leaf),
-		// just not the proven optimum — return it tagged Degraded. No
-		// incumbent means the deadline beat every leaf: a typed deadline
-		// refusal.
+	dfs(0, 0, 0)
+
+	if stopped {
+		// Anytime: pruning never admits an infeasible leaf, so `best` is
+		// the best fully-evaluated feasible assignment found before the
+		// deadline, just not the proven optimum — return it tagged
+		// Degraded. No incumbent means the deadline beat every leaf: a
+		// typed deadline refusal.
 		if best == nil {
 			return nil, deadlineErr(p.ctxErr())
 		}
-		res, err := exsResult(p, "EXS", best, bestSum, totalEvals, start)
+		res, err := exsResult(p, "EXS", best, bestSum, evals, start)
 		if err != nil {
 			return nil, err
 		}
 		res.Degraded = DegradedEXS
 		return res, nil
 	}
-	return exsResult(p, "EXS", best, bestSum, totalEvals, start)
+	return exsResult(p, "EXS", best, bestSum, evals, start)
 }
 
 // candidateVoltages returns the constant-mode search space: the discrete

@@ -44,23 +44,21 @@ func exsGrid(t *testing.T, visit func(Problem)) {
 // The digest and total Evals of EXS over exsGrid: a sha256 over each
 // result's schedule string, the bits of its throughput and its
 // feasibility, in grid order. The digest was pinned from the sequential
-// depth-first branch-and-bound before it was folded into the parallel
-// search. The Evals total is the one the dual-price prune reads; the
-// search without it visited 969,626 nodes for the same digest.
+// depth-first branch-and-bound. The Evals total is the one the
+// dual-price prune reads; the search without it visited 969,626 nodes
+// for the same digest.
 const (
 	exsGridDigest = "a04eabe4f45fc2e96fe3f03b3437cbcee6ed14b6893560249fa4926924d2413d"
 	exsGridEvals  = 315125
 )
 
-// EXS must return the pinned assignments at every width, not just equally
-// good ones: the mesh grids have mirror-image optima in different
-// subtrees, and which worker finishes first must not pick between them
-// (AO seeds from this assignment, so a timing-dependent tie-break would
-// make served plans differ run to run). One worker must also visit
-// exactly the nodes the sequential search visited. The wider widths
-// repeat to give the scheduler a chance to reorder the workers.
+// EXS must return the pinned assignments, not just equally good ones: the
+// mesh grids have mirror-image optima in different subtrees, and the
+// first in depth-first order must win (AO seeds from this assignment).
+// It must also visit exactly the pinned nodes at every Problem.Workers
+// width, so AO's Evals, which count them, replay on any host.
 func TestEXSReproducesPinnedDigest(t *testing.T) {
-	for _, workers := range []int{1, 2, 2, 2, 4, 4, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		h := sha256.New()
 		var evals int64
 		var bits [8]byte
@@ -95,14 +93,14 @@ func TestEXSReproducesPinnedDigest(t *testing.T) {
 		if got := hex.EncodeToString(h.Sum(nil)); got != exsGridDigest {
 			t.Fatalf("workers=%d: digest %s, want %s", workers, got, exsGridDigest)
 		}
-		if workers == 1 && evals != exsGridEvals {
-			t.Fatalf("workers=1: %d evals, want %d", evals, exsGridEvals)
+		if evals != exsGridEvals {
+			t.Fatalf("workers=%d: %d evals, want %d", workers, evals, exsGridEvals)
 		}
 	}
 }
 
 // Problem.Workers = 1 must make AO fully sequential, EXS seed included,
-// so its evaluation count is reproducible however many CPUs the process
+// and its evaluation count must not depend on how many CPUs the process
 // may use.
 func TestAOWorkersOneEvalsReproducible(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
@@ -121,7 +119,7 @@ func TestAOWorkersOneEvalsReproducible(t *testing.T) {
 	}
 }
 
-// A single core has only the core-0 subtrees, each a leaf.
+// A single core's tree is the root and one leaf per level.
 func TestEXSSingleCore(t *testing.T) {
 	md, err := thermal.Default(1, 1)
 	if err != nil {
@@ -131,7 +129,7 @@ func TestEXSSingleCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Problem{Model: md, Levels: ls, TmaxC: 65, Workers: 4}
+	p := Problem{Model: md, Levels: ls, TmaxC: 65}
 	res, err := EXS(p)
 	if err != nil {
 		t.Fatal(err)
@@ -146,11 +144,10 @@ func TestEXSSingleCore(t *testing.T) {
 }
 
 // When even the coldest assignment overheats, the root node refuses the
-// whole tree before any subtree is dispatched.
+// whole tree before visiting any child.
 func TestEXSInfeasible(t *testing.T) {
 	p := problem(t, 3, 1, 2, 38)
 	p.DisallowOff = true
-	p.Workers = 3
 	res, err := EXS(p)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +163,6 @@ func TestEXSInfeasible(t *testing.T) {
 func TestEXSRace(t *testing.T) {
 	// Exercised under -race in CI: many concurrent searches on one model.
 	p := problem(t, 3, 2, 3, 55)
-	p.Workers = 3
 	done := make(chan error, 4)
 	for k := 0; k < 4; k++ {
 		go func() {
@@ -304,10 +300,10 @@ func atLeafPeak(t *testing.T, p Problem, leaf []int) Problem {
 }
 
 // The dual-price prune must not change what EXS returns: on heterogeneous
-// meshes and stacks, EXS at one and four workers returns the schedule,
-// throughput bits and feasibility of the unpruned reference search. Each
-// instance also runs with its threshold on the peak of the reference's
-// optimum and, when every core must run, of the coldest assignment.
+// meshes and stacks, EXS returns the schedule, throughput bits and
+// feasibility of the unpruned reference search. Each instance also runs
+// with its threshold on the peak of the reference's optimum and, when
+// every core must run, of the coldest assignment.
 func TestEXSMatchesUnprunedReference(t *testing.T) {
 	var probs []Problem
 	for _, p := range exsDiffProblems(t, 27, 48) {
@@ -324,17 +320,13 @@ func TestEXSMatchesUnprunedReference(t *testing.T) {
 		}
 	}
 	for q, p := range probs {
-		want := exsReference(t, p)
-		for _, workers := range []int{1, 4} {
-			p.Workers = workers
-			got, err := EXS(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := exsDiff(got, want); d != "" {
-				t.Fatalf("instance %d (%d cores, %d levels, Tmax %.3f °C, DisallowOff %v), workers=%d: %s",
-					q, p.Model.NumCores(), p.Levels.Len(), p.TmaxC, p.DisallowOff, workers, d)
-			}
+		got, err := EXS(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := exsDiff(got, exsReference(t, p)); d != "" {
+			t.Fatalf("instance %d (%d cores, %d levels, Tmax %.3f °C, DisallowOff %v): %s",
+				q, p.Model.NumCores(), p.Levels.Len(), p.TmaxC, p.DisallowOff, d)
 		}
 	}
 }

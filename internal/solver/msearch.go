@@ -11,9 +11,10 @@ import (
 
 // This file is the parallel half of the AO/PCO evaluation engine: a
 // deterministic worker pool (parForW), the evaluator of a solve
-// (evaluator), and the fanned-out m-searches. The contract
-// mirrors EXS (exs.go): any worker count — including 1, the sequential
-// reference path — produces bit-identical results. That holds because
+// (evaluator), and the fanned-out m-searches. parForW is the solver's
+// only parallel mechanism, and its contract is that any worker count —
+// including 1, the sequential reference path — produces bit-identical
+// results after the same evaluations. That holds because
 // every candidate (an oscillation count m, a TPT/refill trial index j, a
 // PCO phase offset k) is evaluated independently with arithmetic
 // untouched by scheduling, and the winner is reduced by scanning

@@ -6,8 +6,8 @@
 //     Hanumaiah et al.).
 //   - LNS: lower-neighboring-speed rounding of the ideal voltages (§III).
 //   - EXS: exhaustive search over constant per-core discrete modes
-//     (Algorithm 1), plus a pruned, parallel branch-and-bound variant that
-//     returns the identical optimum orders of magnitude faster.
+//     (Algorithm 1), plus a pruned branch-and-bound variant that returns
+//     the identical optimum orders of magnitude faster.
 //   - AO: aligned frequency oscillation (Algorithm 2) — the paper's main
 //     contribution.
 //   - PCO: phase-conscious oscillation — AO followed by per-core phase
@@ -44,15 +44,13 @@ type Problem struct {
 	MaxM int
 	// Workers sets the worker-pool width of AO/PCO's parallel candidate
 	// scans: the m-search, the TPT reduction / headroom-refill / dense
-	// verification trial evaluations, and PCO's phase search; and of
-	// EXS's branch-and-bound (also AO's seed), whose core-0 subtrees fan
-	// out across the workers. 0 (the default) uses GOMAXPROCS; 1 forces
-	// the fully sequential reference path, on which Evals is reproducible
-	// too. Every width produces bit-identical plans — candidates are
-	// evaluated independently and reduced in deterministic order, and EXS
-	// breaks ties in depth-first order (see determinism_test.go and
-	// exs_test.go); above one worker, EXS's node count (and so AO's
-	// Evals) depends on scheduling.
+	// verification trial evaluations, and PCO's phase search. EXS always
+	// searches on the calling goroutine. 0 (the default) uses GOMAXPROCS;
+	// 1 forces the fully sequential reference path. Every width produces
+	// bit-identical plans after the same Evals — candidates are evaluated
+	// independently and reduced in deterministic order (see
+	// determinism_test.go). The determinism tests and the ao_search_seq
+	// and ao_search_par bench rows set it; the public API leaves it 0.
 	Workers int
 	// DisallowOff removes the inactive mode (v = f = 0) from the search
 	// space. The paper's system model allows inactive cores, so the

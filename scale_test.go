@@ -48,7 +48,7 @@ func TestScale256AOWithinDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	start := time.Now()
-	plan, err := p.MaximizeContext(ctx, MethodAO, tmaxC, 0)
+	plan, err := p.MaximizeContext(ctx, MethodAO, tmaxC)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("AO on %s: %v", g.Name, err)
@@ -107,7 +107,7 @@ func TestScaleOracleAuditsLargeFloorplans(t *testing.T) {
 		p := genPlatform(t, tc.g, WithPaperLevels(3))
 		for _, tmaxC := range tc.tmaxC {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			plan, err := p.MaximizeContext(ctx, MethodAO, tmaxC, 0)
+			plan, err := p.MaximizeContext(ctx, MethodAO, tmaxC)
 			cancel()
 			if err != nil {
 				t.Fatalf("AO on %s tmax=%g: %v", tc.g.Name, tmaxC, err)

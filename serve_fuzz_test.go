@@ -148,6 +148,10 @@ func FuzzSimulateRequest(f *testing.F) {
 		`{"plan":{}} trailing`,
 		`null`,
 		``,
+		// periods × samples_per_period overflows int: 2^64 wraps to 0,
+		// 3037000500² wraps negative. Both must hit the trace cap.
+		`{"platform":{"rows":2,"cols":1},"plan":{"version":1,"period_s":0.02,"cores":[[{"Seconds":0.02,"Voltage":1}],[{"Seconds":0.02,"Voltage":1}]]},"periods":4294967296,"samples_per_period":4294967296}`,
+		`{"platform":{"rows":2,"cols":1},"plan":{"version":1,"period_s":0.02,"cores":[[{"Seconds":0.02,"Voltage":1}],[{"Seconds":0.02,"Voltage":1}]]},"periods":3037000500,"samples_per_period":3037000500}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -82,9 +82,6 @@ type ServerConfig struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps any requested timeout_s (default 2 min).
 	MaxTimeout time.Duration
-	// Workers is the per-solve parallel fan-out width passed to the
-	// solvers (0 = GOMAXPROCS). Plans are identical at any width.
-	Workers int
 	// AuditEvery, when > 0, audits every Nth cold solve asynchronously
 	// with the independent verification oracle (Platform.Audit): the
 	// request is answered immediately and a background goroutine
@@ -453,7 +450,7 @@ func (s *Server) solvePlan(ctx context.Context, planKey, platKey string, req Max
 	}
 	var plan *Plan
 	if s.brk.allowFull() {
-		plan, err = plat.MaximizeResilient(ctx, req.Method, req.TmaxC, s.cfg.Workers)
+		plan, err = plat.MaximizeResilient(ctx, req.Method, req.TmaxC)
 	} else {
 		// Breaker open: the audit failure rate says full solves cannot be
 		// trusted right now, so only the oracle-checked constant floor is

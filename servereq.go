@@ -402,8 +402,10 @@ func parseSimulateRequest(body []byte, lim serveLimits) (spec PlatformSpec, plan
 	if periods < 1 || samples < 1 {
 		return spec, nil, 0, 0, "", badRequestf("invalid trace request (%d periods, %d samples)", req.Periods, req.SamplesPerPeriod)
 	}
-	if periods*samples > maxTraceSamples {
-		return spec, nil, 0, 0, "", badRequestf("trace of %d samples exceeds the cap of %d", periods*samples, maxTraceSamples)
+	// periods*samples can overflow int, so the cap divides instead.
+	if periods > maxTraceSamples/samples {
+		return spec, nil, 0, 0, "", badRequestf("trace of %d periods × %d samples exceeds the cap of %d samples",
+			periods, samples, maxTraceSamples)
 	}
 	platKey, err = canonicalKey(spec)
 	if err != nil {

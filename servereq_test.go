@@ -125,6 +125,9 @@ func TestParseSimulateRequestValidation(t *testing.T) {
 		{"core mismatch", `{"platform":{"rows":3,"cols":1},"plan":` + plan + `}`, "plan has 2 cores"},
 		{"negative periods", `{"platform":{"rows":2,"cols":1},"plan":` + plan + `,"periods":-1}`, "invalid trace"},
 		{"oversized trace", `{"platform":{"rows":2,"cols":1},"plan":` + plan + `,"periods":1000,"samples_per_period":1000}`, "exceeds the cap"},
+		// Products that overflow int: 2^64 wraps to 0, 3037000500² wraps negative.
+		{"trace wraps to zero", `{"platform":{"rows":2,"cols":1},"plan":` + plan + `,"periods":4294967296,"samples_per_period":4294967296}`, "exceeds the cap"},
+		{"trace wraps negative", `{"platform":{"rows":2,"cols":1},"plan":` + plan + `,"periods":3037000500,"samples_per_period":3037000500}`, "exceeds the cap"},
 		{"bad platform", `{"platform":{"rows":0,"cols":1},"plan":` + plan + `}`, "rows/cols"},
 	}
 	for _, tc := range cases {

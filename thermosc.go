@@ -213,20 +213,18 @@ func (p *Platform) DominantTimeConstant() float64 {
 // Maximize runs the selected policy against the peak temperature
 // threshold tmaxC (absolute °C) and returns the resulting plan.
 func (p *Platform) Maximize(m Method, tmaxC float64) (*Plan, error) {
-	return p.MaximizeContext(context.Background(), m, tmaxC, 0)
+	return p.MaximizeContext(context.Background(), m, tmaxC)
 }
 
-// MaximizeContext is Maximize with cancellation and solver tuning: ctx
-// cancels or times out the search loops (the AO/PCO m-search, the
-// TPT/refill adjustment scans, and the EXS branch-and-bound all observe
-// it), and workers sets the parallel fan-out width of the candidate scans
-// (0 = GOMAXPROCS; every width returns the identical plan). All solves on
-// one Platform share a single evaluation-engine pool, so concurrent
-// requests against the same platform reuse each other's thermal
-// operators.
-func (p *Platform) MaximizeContext(ctx context.Context, m Method, tmaxC float64, workers int) (*Plan, error) {
+// MaximizeContext is Maximize with cancellation: ctx cancels or times out
+// the search loops (the AO/PCO m-search, the TPT/refill adjustment scans,
+// and the EXS branch-and-bound all observe it). The candidate scans fan
+// out across GOMAXPROCS goroutines, and every width returns the identical
+// plan. All solves on one Platform share a single evaluation-engine pool,
+// so concurrent requests against the same platform reuse each other's
+// thermal operators.
+func (p *Platform) MaximizeContext(ctx context.Context, m Method, tmaxC float64) (*Plan, error) {
 	prob := p.problem(tmaxC)
-	prob.Workers = workers
 	prob.Ctx = ctx
 	var (
 		res *solver.Result
