@@ -58,11 +58,7 @@ func DecomposeSymmetrizable(dDiag []float64, m *Dense) (*Symmetrizable, error) {
 
 // ExpAt returns e^{A·t} as a dense matrix.
 func (e *Symmetrizable) ExpAt(t float64) *Dense {
-	expL := make([]float64, e.n)
-	for i, l := range e.Lambda {
-		expL[i] = math.Exp(l * t)
-	}
-	return e.W.MulDiagRight(expL).Mul(e.Winv)
+	return e.W.MulDiagRight(e.ExpLambda(t)).Mul(e.Winv)
 }
 
 // ExpLambda returns the diagonal propagator factors exp(λ_i·t) of e^{A·t}
@@ -70,11 +66,7 @@ func (e *Symmetrizable) ExpAt(t float64) *Dense {
 // interval length Δt; feeding them back through StepVecExp reproduces
 // StepVec bit for bit.
 func (e *Symmetrizable) ExpLambda(t float64) []float64 {
-	expL := make([]float64, e.n)
-	for i, l := range e.Lambda {
-		expL[i] = math.Exp(l * t)
-	}
-	return expL
+	return e.ExpLambdaTo(make([]float64, e.n), t)
 }
 
 // StepVecExp is StepVec with the exponential factors expL = exp(λ·t)

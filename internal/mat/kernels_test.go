@@ -32,18 +32,31 @@ func randVec(r *rand.Rand, n int) []float64 {
 	return v
 }
 
+// TestMulVecToBitIdentical compares MulVecTo, which sums four rows at a
+// time, with one row at a time summed in column order, on shapes that
+// leave every remainder of rows mod 4 (the thermal models are 19, 28
+// and 33 nodes).
 func TestMulVecToBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	for _, dims := range [][2]int{{1, 1}, {3, 5}, {9, 9}, {17, 4}} {
+	for _, dims := range [][2]int{{1, 1}, {3, 5}, {4, 3}, {9, 9}, {17, 4}, {19, 19}, {28, 28}, {33, 33}, {6, 40}} {
 		m := randomDense(r, dims[0], dims[1])
 		x := randVec(r, dims[1])
+		want := make([]float64, dims[0])
+		for i := range want {
+			for j, v := range x {
+				want[i] += m.At(i, j) * v
+			}
+		}
 		dst := VecFill(dims[0], math.NaN())
 		got := m.MulVecTo(dst, x)
 		if &got[0] != &dst[0] {
 			t.Fatalf("%v: MulVecTo did not return dst", dims)
 		}
-		if want := m.MulVec(x); !sameBits(got, want) {
-			t.Fatalf("%v: MulVecTo %v, MulVec %v", dims, got, want)
+		if !sameBits(got, want) {
+			t.Fatalf("%v: MulVecTo %v, row-by-row %v", dims, got, want)
+		}
+		if alloc := m.MulVec(x); !sameBits(alloc, want) {
+			t.Fatalf("%v: MulVec %v, row-by-row %v", dims, alloc, want)
 		}
 	}
 	m := NewDense(2, 3)

@@ -163,37 +163,41 @@ func (m *Dense) Mul(b *Dense) *Dense {
 
 // MulVec returns the matrix-vector product m·x as a new vector.
 func (m *Dense) MulVec(x []float64) []float64 {
-	if m.cols != len(x) {
-		panic(fmt.Sprintf("mat: MulVec dimension mismatch %d×%d · %d", m.rows, m.cols, len(x)))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
+	return m.MulVecTo(make([]float64, m.rows), x)
 }
 
-// MulVecTo computes m·x into dst (len(dst) == rows) and returns dst. The
-// arithmetic — accumulation order included — matches MulVec exactly, so
-// the in-place form is bit-identical to the allocating one. dst must not
-// alias x.
+// MulVecTo computes m·x into dst (len(dst) == rows) and returns dst. Each
+// entry is its row's products with x summed in column order from zero.
+// dst must not alias x.
 func (m *Dense) MulVecTo(dst, x []float64) []float64 {
 	if m.cols != len(x) {
-		panic(fmt.Sprintf("mat: MulVecTo dimension mismatch %d×%d · %d", m.rows, m.cols, len(x)))
+		panic(fmt.Sprintf("mat: MulVec dimension mismatch %d×%d · %d", m.rows, m.cols, len(x)))
 	}
 	if len(dst) != m.rows {
 		panic(fmt.Sprintf("mat: MulVecTo destination length %d, want %d", len(dst), m.rows))
 	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
+	// Four rows at a time: their four sums are independent, so each one's
+	// additions overlap the others' instead of waiting on their own
+	// latency, and every row keeps its column order, so its bits.
+	n := len(x)
+	i := 0
+	for ; i+4 <= m.rows; i += 4 {
+		r0, r1 := m.data[i*n:][:n], m.data[(i+1)*n:][:n]
+		r2, r3 := m.data[(i+2)*n:][:n], m.data[(i+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for j, v := range x {
+			s0 += r0[j] * v
+			s1 += r1[j] * v
+			s2 += r2[j] * v
+			s3 += r3[j] * v
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.rows; i++ {
+		row := m.data[i*n:][:n]
 		var s float64
-		for j, v := range row {
-			s += v * x[j]
+		for j, v := range x {
+			s += row[j] * v
 		}
 		dst[i] = s
 	}
